@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "stack/Apps.h"
-#include "stack/Stack.h"
+#include "stack/Executor.h"
 
 #include <benchmark/benchmark.h>
 
@@ -50,12 +50,12 @@ void compareOptLevels(benchmark::State &State, const char *Source,
   }
   uint64_t Instructions = 0;
   for (auto _ : State) {
-    Result<Observed> R = runLevel(Spec, *P, Level::Isa);
-    if (!R || !R->Terminated) {
+    Result<Outcome> R = Executor::fromPrepared(Spec, *P).run(Level::Isa);
+    if (!R || !R->Behaviour.Terminated) {
       State.SkipWithError("run failed");
       return;
     }
-    Instructions = R->Instructions;
+    Instructions = R->Behaviour.Instructions;
   }
   State.counters["DynInstructions"] = static_cast<double>(Instructions);
   State.counters["CodeBytes"] =
@@ -91,12 +91,13 @@ void BM_OomShrinkingHeaps(benchmark::State &State) {
   Spec.Exec.MaxSteps = 1'000'000'000ull;
   bool Oom = false;
   for (auto _ : State) {
-    Result<Observed> R = run(Spec, Level::Isa);
-    if (!R || !R->Terminated) {
+    Result<Executor> Exec = Executor::create(Spec);
+    Result<Outcome> R = Exec ? Exec->run(Level::Isa) : Exec.error();
+    if (!R || !R->Behaviour.Terminated) {
       State.SkipWithError("run did not terminate cleanly");
       return;
     }
-    Oom = R->ExitCode == machine::OomExitCode;
+    Oom = R->Behaviour.ExitCode == machine::OomExitCode;
   }
   State.counters["OomExit"] = Oom;
 }

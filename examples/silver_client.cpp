@@ -97,22 +97,6 @@ const char *builtinSource(const std::string &Name) {
   return nullptr;
 }
 
-bool parseLevel(const std::string &Name, stack::Level &Out) {
-  if (Name == "spec")
-    Out = stack::Level::Spec;
-  else if (Name == "machine")
-    Out = stack::Level::Machine;
-  else if (Name == "isa")
-    Out = stack::Level::Isa;
-  else if (Name == "rtl")
-    Out = stack::Level::Rtl;
-  else if (Name == "verilog")
-    Out = stack::Level::Verilog;
-  else
-    return false;
-  return true;
-}
-
 /// Prints a settled job the way scripts and humans want it, returns the
 /// process exit code.
 int reportJob(const svc::JobInfo &Info, const std::string &LevelName,
@@ -151,8 +135,6 @@ int reportJob(const svc::JobInfo &Info, const std::string &LevelName,
     return 1;
   }
 }
-
-std::string levelNameOf(stack::Level L) { return stack::levelName(L); }
 
 /// Prints the job's architectural StateDigest as one canonical line, so
 /// scripts can compare pre-crash and post-recovery machine states with a
@@ -203,16 +185,7 @@ int main(int Argc, char **Argv) {
     else if (startsWith(A, "--builtin="))
       Builtin = A.substr(10);
     else if (startsWith(A, "--level=")) {
-      std::string Name = A.substr(8);
-      if (Name == "jit") {
-        // The old ad-hoc spelling, before --backend= was uniform
-        // across the CLIs; jit is a backend, not a Figure-1 level.
-        std::fprintf(stderr,
-                     "silver-client: warning: --level=jit is deprecated; "
-                     "use --level=isa --backend=jit\n");
-        Spec.Level = stack::Level::Isa;
-        Spec.Backend = stack::BackendKind::Jit;
-      } else if (!parseLevel(Name, Spec.Level))
+      if (!stack::parseLevel(A.substr(8), Spec.Level))
         return usage();
     } else if (startsWith(A, "--backend=")) {
       if (!stack::parseBackendKind(A.substr(10), Spec.Backend))
@@ -318,7 +291,7 @@ int main(int Argc, char **Argv) {
       return fail(R->Error);
     if (Digest)
       return reportDigest(R->Info);
-    return reportJob(R->Info, levelNameOf(Spec.Level), Json);
+    return reportJob(R->Info, stack::levelName(Spec.Level), Json);
   }
 
   if (Command == "status" || Command == "resume" || Command == "cancel") {
@@ -334,7 +307,7 @@ int main(int Argc, char **Argv) {
       return fail(R->Error);
     if (Digest)
       return reportDigest(R->Info);
-    return reportJob(R->Info, levelNameOf(R->Info.Level), Json);
+    return reportJob(R->Info, stack::levelName(R->Info.Level), Json);
   }
 
   if (Command == "stream") {

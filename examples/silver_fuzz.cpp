@@ -81,28 +81,23 @@ int usage(const char *Argv0) {
   return 2;
 }
 
+/// Isa is the reference, so listing it is harmless; Spec has no machine
+/// state to compare and is rejected.
 bool parseLevels(const std::string &Arg, std::vector<stack::Level> &Out,
-                 bool &Jit, bool &Compiled) {
+                 bool &Compiled) {
   Out.clear();
   std::istringstream In(Arg);
   std::string Name;
   while (std::getline(In, Name, ',')) {
-    if (Name == "machine")
-      Out.push_back(stack::Level::Machine);
-    else if (Name == "isa")
-      Out.push_back(stack::Level::Isa); // the reference; listing is harmless
-    else if (Name == "rtl")
-      Out.push_back(stack::Level::Rtl);
-    else if (Name == "verilog")
-      Out.push_back(stack::Level::Verilog);
-    else if (Name == "compiled")
+    stack::Level L;
+    if (Name == "compiled")
       Compiled = true; // Compiled-vs-Verilog; the oracle adds verilog itself
-    else if (Name == "jit")
-      Jit = true; // deprecated spelling of --backend=jit; the caller warns
+    else if (stack::parseLevel(Name, L) && L != stack::Level::Spec)
+      Out.push_back(L);
     else
       return false;
   }
-  return !Out.empty() || Jit || Compiled;
+  return !Out.empty() || Compiled;
 }
 
 bool parseProfiles(const std::string &Arg, std::vector<fuzz::Profile> &Out) {
@@ -147,16 +142,10 @@ int main(int Argc, char **Argv) {
       else if (const char *V = Value("--max-steps="))
         Opt.Oracle.MaxSteps = std::stoull(V);
       else if (const char *V = Value("--levels=")) {
-        bool Jit = false;
         bool Compiled = false;
-        if (!parseLevels(V, Opt.Oracle.Levels, Jit, Compiled))
+        if (!parseLevels(V, Opt.Oracle.Levels, Compiled))
           return usage(Argv[0]);
         Opt.Oracle.CompareCompiled = Compiled;
-        if (Jit) {
-          std::cerr << "silver-fuzz: warning: --levels=...,jit is "
-                       "deprecated; use --backend=jit\n";
-          Opt.Oracle.CompareJit = true;
-        }
       } else if (const char *V = Value("--backend=")) {
         stack::BackendKind B;
         if (!stack::parseBackendKind(V, B))

@@ -138,7 +138,7 @@ int emitStage(const std::string &Source, const std::string &What,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string Level = "isa";
+  stack::Level L = stack::Level::Isa;
   std::string Backend;
   std::string Hdl;
   std::string Emit;
@@ -156,9 +156,10 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I != Argc; ++I) {
     std::string A = Argv[I];
-    if (startsWith(A, "--level="))
-      Level = A.substr(8);
-    else if (startsWith(A, "--backend="))
+    if (startsWith(A, "--level=")) {
+      if (!stack::parseLevel(A.substr(8), L))
+        return usage();
+    } else if (startsWith(A, "--backend="))
       Backend = A.substr(10);
     else if (startsWith(A, "--hdl="))
       Hdl = A.substr(6);
@@ -196,15 +197,6 @@ int main(int Argc, char **Argv) {
   if (File.empty() == Builtin.empty())
     return usage();
 
-  // The one uniform backend spelling across the CLIs; "--level=jit" was
-  // never a Figure-1 level, so the old spelling is a deprecated alias.
-  if (Level == "jit") {
-    std::fprintf(stderr, "silverc: warning: --level=jit is deprecated; use "
-                         "--level=isa --backend=jit\n");
-    Level = "isa";
-    if (Backend.empty())
-      Backend = "jit";
-  }
   stack::BackendKind ExecBackend = stack::BackendKind::Interp;
   if (!Backend.empty() && !stack::parseBackendKind(Backend, ExecBackend))
     return usage();
@@ -315,20 +307,6 @@ int main(int Argc, char **Argv) {
     return R->back().ExitCode;
   }
 
-  stack::Level L;
-  if (Level == "spec")
-    L = stack::Level::Spec;
-  else if (Level == "machine")
-    L = stack::Level::Machine;
-  else if (Level == "isa")
-    L = stack::Level::Isa;
-  else if (Level == "rtl")
-    L = stack::Level::Rtl;
-  else if (Level == "verilog")
-    L = stack::Level::Verilog;
-  else
-    return usage();
-
   bool WantObs = !TraceFile.empty() || !TraceJsonlFile.empty() || ShowCounters;
   if (!WantObs && L == stack::Level::Spec) {
     // The reference interpreter needs no compilation.
@@ -338,7 +316,7 @@ int main(int Argc, char **Argv) {
     if (Json) {
       std::printf("%s\n",
                   svc::outcomeJson(R->Terminated ? "completed" : "timeout",
-                                   Level, *R)
+                                   stack::levelName(L), *R)
                       .c_str());
       return R->Terminated ? R->ExitCode : 1;
     }
@@ -406,7 +384,8 @@ int main(int Argc, char **Argv) {
     // service smoke test parses both with the same code.
     const char *Status =
         Out->Status == stack::RunStatus::Completed ? "completed" : "timeout";
-    std::printf("%s\n", svc::outcomeJson(Status, Level, R).c_str());
+    std::printf("%s\n",
+                svc::outcomeJson(Status, stack::levelName(L), R).c_str());
     return R.Terminated ? R.ExitCode : 1;
   }
 
@@ -414,8 +393,8 @@ int main(int Argc, char **Argv) {
     return fail("program did not terminate within the step budget");
   std::fwrite(R.StdoutData.data(), 1, R.StdoutData.size(), stdout);
   std::fwrite(R.StderrData.data(), 1, R.StderrData.size(), stderr);
-  std::fprintf(stderr, "silverc: [%s] %llu instructions", Level.c_str(),
-               (unsigned long long)R.Instructions);
+  std::fprintf(stderr, "silverc: [%s] %llu instructions",
+               stack::levelName(L), (unsigned long long)R.Instructions);
   if (R.Cycles)
     std::fprintf(stderr, ", %llu cycles", (unsigned long long)R.Cycles);
   std::fprintf(stderr, ", exit %d\n", R.ExitCode);

@@ -56,18 +56,6 @@ void LabEnv::inputsForCycle(CoreInputs &In) {
   ++Cycle;
 }
 
-std::map<std::string, uint64_t> LabEnv::inputsForCycle() {
-  CoreInputs Dense;
-  inputsForCycle(Dense);
-  std::map<std::string, uint64_t> In;
-  In["mem_rdata"] = Dense.MemRdata;
-  In["mem_ready"] = Dense.MemReady ? 1 : 0;
-  In["mem_start_ready"] = Dense.MemStartReady ? 1 : 0;
-  In["interrupt_ack"] = Dense.InterruptAck ? 1 : 0;
-  In["data_in"] = Dense.DataIn;
-  return In;
-}
-
 Result<void> LabEnv::observeOutputs(const CoreOutputs &Out) {
   if (Out.MemRen || Out.MemWen) {
     if (MemBusy)
@@ -99,16 +87,4 @@ Result<void> LabEnv::observeOutputs(const CoreOutputs &Out) {
     IntRemaining = Opt.AckDelay;
   }
   return {};
-}
-
-Result<void>
-LabEnv::observeOutputs(const std::map<std::string, uint64_t> &Out) {
-  CoreOutputs Dense;
-  Dense.MemRen = Out.at("mem_ren") != 0;
-  Dense.MemWen = Out.at("mem_wen") != 0;
-  Dense.MemWbyte = Out.at("mem_wbyte") != 0;
-  Dense.MemAddr = Out.at("mem_addr");
-  Dense.MemWdata = Out.at("mem_wdata");
-  Dense.InterruptReq = Out.at("interrupt_req") != 0;
-  return observeOutputs(Dense);
 }

@@ -25,7 +25,6 @@
 #include "support/Result.h"
 #include "sys/Image.h"
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -45,19 +44,13 @@ public:
       : Memory(std::move(Memory)), Layout(std::move(Layout)), Opt(Options) {}
 
   /// Input-port values for the upcoming cycle, written into the dense
-  /// frame (the hot path; the map overload below wraps this).
+  /// frame.
   void inputsForCycle(CoreInputs &In);
-
-  /// Input-port values for the upcoming cycle, by port name.
-  std::map<std::string, uint64_t> inputsForCycle();
 
   /// Reacts to the core's outputs of the cycle that just ran.  Returns an
   /// error on protocol violations (request while busy, misaligned word
   /// access, out-of-range address).
   Result<void> observeOutputs(const CoreOutputs &Out);
-
-  /// Name-keyed compatibility overload of observeOutputs.
-  Result<void> observeOutputs(const std::map<std::string, uint64_t> &Out);
 
   const std::vector<uint8_t> &memory() const { return Memory; }
   const std::string &collectedStdout() const { return Stdout; }

@@ -166,14 +166,6 @@ public:
     return {};
   }
 
-  Result<void> step(const std::map<std::string, uint64_t> &Inputs,
-                    std::map<std::string, uint64_t> &Outputs) override {
-    Result<void> R = rtl::stepCircuit(Core.Circuit, State, Inputs, &Outputs);
-    if (R)
-      tickObserver();
-    return R;
-  }
-
   void attachCycleObserver(obs::Observer *O) override { Obs = O; }
 
   Word archPc() const override {
@@ -250,16 +242,6 @@ public:
     for (const auto &[Slot, Port] : OutSlots)
       if (Slot >= 0)
         setOut(Out, Port, Sim->valueOf(Slot));
-    return {};
-  }
-
-  Result<void> step(const std::map<std::string, uint64_t> &Inputs,
-                    std::map<std::string, uint64_t> &Outputs) override {
-    if (Result<void> R = Sim->step(Inputs); !R)
-      return R;
-    Outputs.clear();
-    for (const rtl::OutputDef &O : Core.Circuit.Outputs)
-      Outputs[O.Name] = Sim->valueOf(O.Name);
     return {};
   }
 

@@ -23,7 +23,6 @@
 #include "obs/Observer.h"
 #include "rtl/ToVerilog.h"
 
-#include <map>
 #include <memory>
 
 namespace silver {
@@ -71,11 +70,6 @@ public:
   /// One clock cycle over the dense frames (the hot path; port-to-field
   /// bindings are resolved once when the simulator is built).
   virtual Result<void> stepDense(const CoreInputs &In, CoreOutputs &Out) = 0;
-
-  /// One clock cycle with named ports.  Compatibility surface for tests
-  /// and tools; the runners use stepDense.
-  virtual Result<void> step(const std::map<std::string, uint64_t> &Inputs,
-                            std::map<std::string, uint64_t> &Outputs) = 0;
 
   /// The architectural PC alone.  The cycle loop reads this every cycle
   /// (the retired instruction sits at the pre-cycle PC), and archState()

@@ -82,7 +82,6 @@ struct FastSim::Impl {
   std::vector<NbEntry> Queue;
   std::vector<std::pair<int, uint64_t>> UndoLog;
   std::vector<std::pair<int, uint64_t>> CommitLog;
-  std::vector<uint64_t> DenseScratch; // map-step compatibility buffer
 
   Result<FExp> compileExp(const VExp &E);
   Result<FStmt> compileStmt(const VStmt &S);
@@ -387,19 +386,6 @@ Result<std::unique_ptr<FastSim>> FastSim::compile(const VModule &M) {
   }
   I.DirectBlocking = I.Processes.size() <= 1;
   return Sim;
-}
-
-Result<void> FastSim::step(const std::map<std::string, uint64_t> &Inputs) {
-  Impl &Im = *I;
-  Im.DenseScratch.resize(Im.InputSlots.size());
-  for (size_t K = 0; K != Im.InputSlots.size(); ++K) {
-    auto It = Inputs.find(Im.InputSlots[K].first);
-    if (It == Inputs.end())
-      return Error("fastsim: input '" + Im.InputSlots[K].first +
-                   "' not driven");
-    Im.DenseScratch[K] = It->second;
-  }
-  return stepDense(Im.DenseScratch.data(), Im.DenseScratch.size());
 }
 
 Result<void> FastSim::stepDense(const uint64_t *Inputs, size_t Count) {

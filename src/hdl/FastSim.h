@@ -44,10 +44,6 @@ public:
   /// path: no name lookups, no per-cycle allocation.
   Result<void> stepDense(const uint64_t *Inputs, size_t Count) override;
 
-  /// One clock cycle with named inputs; \p Inputs must cover every input
-  /// port.  Thin compatibility wrapper over stepDense.
-  Result<void> step(const std::map<std::string, uint64_t> &Inputs) override;
-
   /// Number of input ports (the stepDense frame size).
   size_t numInputs() const override;
   /// Name of input port \p Ordinal (stepDense frame order).

@@ -27,7 +27,6 @@
 #include "hdl/Semantics.h"
 #include "obs/Observer.h"
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -41,10 +40,6 @@ public:
   /// One clock cycle; \p Inputs holds one value per input port in port
   /// declaration order (see numInputs / inputName).
   virtual Result<void> stepDense(const uint64_t *Inputs, size_t Count) = 0;
-
-  /// One clock cycle with named inputs; \p Inputs must cover every input
-  /// port.  Compatibility wrapper over stepDense.
-  virtual Result<void> step(const std::map<std::string, uint64_t> &Inputs) = 0;
 
   /// Number of input ports (the stepDense frame size).
   virtual size_t numInputs() const = 0;

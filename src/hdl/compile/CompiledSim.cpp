@@ -77,19 +77,6 @@ Result<void> CompiledSim::stepDense(const uint64_t *Inputs, size_t Count) {
   return {};
 }
 
-Result<void> CompiledSim::step(const std::map<std::string, uint64_t> &Inputs) {
-  const CompiledLayout &L = Module->Layout;
-  DenseScratch.resize(L.InputSlots.size());
-  for (size_t K = 0; K != L.InputSlots.size(); ++K) {
-    auto It = Inputs.find(L.InputSlots[K].first);
-    if (It == Inputs.end())
-      return Error("compiled sim: input '" + L.InputSlots[K].first +
-                   "' not driven");
-    DenseScratch[K] = It->second;
-  }
-  return stepDense(DenseScratch.data(), DenseScratch.size());
-}
-
 size_t CompiledSim::numInputs() const {
   return Module->Layout.InputSlots.size();
 }

@@ -70,7 +70,6 @@ public:
   ~CompiledSim() override;
 
   Result<void> stepDense(const uint64_t *Inputs, size_t Count) override;
-  Result<void> step(const std::map<std::string, uint64_t> &Inputs) override;
   size_t numInputs() const override;
   const std::string &inputName(size_t Ordinal) const override;
   int slotOf(const std::string &Name) const override;
@@ -93,7 +92,6 @@ private:
   std::vector<uint64_t> Values;
   std::vector<std::vector<uint64_t>> Mems;
   std::vector<uint64_t *> MemPtrs;
-  std::vector<uint64_t> DenseScratch;
   obs::Observer *CycleObs = nullptr;
   uint64_t Cycle = 0;
 };

@@ -17,8 +17,9 @@
 ///   stack::Outcome Out = Exec.run(stack::Level::Rtl).take();
 ///   std::cout << Counters.report();
 ///
-/// The one-shot free functions in Stack.h (run, runLevel, checkEndToEnd)
-/// are retained as thin wrappers over this class.
+/// This is the one way to run a program at a level: one-shot callers use
+/// Executor::create(Spec) (or fromPrepared) followed by run(L), and
+/// stack::checkEndToEnd runs its levels on one Executor.
 ///
 /// Budgets: RunSpec::MaxSteps bounds retired instructions at every level;
 /// the cycle-accurate levels additionally get RunSpec::MaxCycles clock
@@ -84,8 +85,7 @@ struct Outcome {
 /// The observable execution engine.  Movable, not copyable.  An attached
 /// observer sees, per run: onRunBegin, then retire / memory / FFI-span /
 /// cycle events as the level produces them, then onRunEnd.  With no
-/// observer attached every level runs its uninstrumented path, so a null
-/// Executor run costs the same as the pre-redesign free functions.
+/// observer attached every level runs its uninstrumented path.
 class Executor {
 public:
   /// Compiles Spec.Source once (every run/level reuses the result).

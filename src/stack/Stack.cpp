@@ -87,6 +87,22 @@ const char *silver::stack::levelName(Level L) {
   return "?";
 }
 
+bool silver::stack::parseLevel(const std::string &Name, Level &Out) {
+  if (Name == "spec")
+    Out = Level::Spec;
+  else if (Name == "machine")
+    Out = Level::Machine;
+  else if (Name == "isa")
+    Out = Level::Isa;
+  else if (Name == "rtl")
+    Out = Level::Rtl;
+  else if (Name == "verilog")
+    Out = Level::Verilog;
+  else
+    return false;
+  return true;
+}
+
 Result<Prepared> silver::stack::prepare(const RunSpec &Spec) {
   Result<cml::Compiled> Compiled =
       cml::compileProgram(Spec.Source, Spec.Compile);
@@ -140,69 +156,47 @@ Result<Observed> silver::stack::runSpecLevel(const RunSpec &Spec) {
   return O;
 }
 
-Result<Observed> silver::stack::runLevel(const RunSpec &Spec,
-                                         const Prepared &P, Level L) {
-  Executor Exec = Executor::fromPrepared(Spec, P);
-  Result<Outcome> Out = Exec.run(L);
-  if (!Out)
-    return Out.error();
-  return Out->Behaviour;
-}
-
-Result<Observed> silver::stack::run(const RunSpec &Spec, Level L) {
-  if (L == Level::Spec)
-    return runSpecLevel(Spec);
-  Result<Executor> Exec = Executor::create(Spec);
-  if (!Exec)
-    return Exec.error();
-  Result<Outcome> Out = Exec->run(L);
-  if (!Out)
-    return Out.error();
-  return Out->Behaviour;
-}
-
 Result<std::vector<Observed>>
 silver::stack::checkEndToEnd(const RunSpec &Spec,
                              const std::vector<Level> &Levels) {
-  Result<Prepared> P = prepare(Spec);
-  if (!P)
-    return P.error();
+  Result<Executor> Exec = Executor::create(Spec);
+  if (!Exec)
+    return Exec.error();
 
   // The reference semantics is the yardstick.
-  Result<Observed> SpecRun = runSpecLevel(Spec);
-  if (!SpecRun)
-    return SpecRun.error();
+  Result<Outcome> SpecOut = Exec->run(Level::Spec);
+  if (!SpecOut)
+    return SpecOut.error();
+  const Observed &SpecRun = SpecOut->Behaviour;
 
   std::vector<Observed> Results;
   for (Level L : Levels) {
-    Result<Observed> R = L == Level::Spec
-                             ? Result<Observed>(*SpecRun)
-                             : runLevel(Spec, *P, L);
+    Result<Outcome> R = L == Level::Spec ? SpecOut : Exec->run(L);
     if (!R)
       return Error(std::string(levelName(L)) + ": " + R.error().str());
-    const Observed &O = *R;
+    const Observed &O = R->Behaviour;
     if (!O.Terminated)
       return Error(std::string(levelName(L)) +
                    ": did not terminate within the step budget");
     bool Oom = O.ExitCode == machine::OomExitCode &&
-               SpecRun->ExitCode != machine::OomExitCode;
+               SpecRun.ExitCode != machine::OomExitCode;
     if (Oom) {
       // extend_with_oom: premature OOM termination with a prefix of the
       // specified output is within the compiler's contract.
-      if (!startsWith(SpecRun->StdoutData, O.StdoutData))
+      if (!startsWith(SpecRun.StdoutData, O.StdoutData))
         return Error(std::string(levelName(L)) +
                      ": OOM output is not a prefix of the spec output");
     } else {
-      if (O.StdoutData != SpecRun->StdoutData)
+      if (O.StdoutData != SpecRun.StdoutData)
         return Error(std::string(levelName(L)) + ": stdout mismatch: \"" +
                      escapeString(O.StdoutData) + "\" vs spec \"" +
-                     escapeString(SpecRun->StdoutData) + "\"");
-      if (O.StderrData != SpecRun->StderrData)
+                     escapeString(SpecRun.StdoutData) + "\"");
+      if (O.StderrData != SpecRun.StderrData)
         return Error(std::string(levelName(L)) + ": stderr mismatch");
-      if (O.ExitCode != SpecRun->ExitCode)
+      if (O.ExitCode != SpecRun.ExitCode)
         return Error(std::string(levelName(L)) + ": exit code " +
                      std::to_string(O.ExitCode) + " vs spec " +
-                     std::to_string(SpecRun->ExitCode));
+                     std::to_string(SpecRun.ExitCode));
     }
     Results.push_back(O);
   }

@@ -18,6 +18,10 @@
 /// The out-of-memory exit is permitted as a prefix behaviour, exactly as
 /// extend_with_oom licenses.
 ///
+/// This header holds the configuration types, prepare, the image audit,
+/// and the cross-level check; running a program at a level goes through
+/// stack::Executor (Executor.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SILVER_STACK_STACK_H
@@ -105,6 +109,11 @@ struct RunSpec {
 enum class Level : uint8_t { Spec, Machine, Isa, Rtl, Verilog };
 const char *levelName(Level L);
 
+/// Parses a CLI level spelling (spec, machine, isa, rtl, verilog);
+/// returns false when \p Name is unknown.  Note the CLI spelling of
+/// Machine is "machine", while levelName reports "machine-sem".
+bool parseLevel(const std::string &Name, Level &Out);
+
 /// Observable outcome of one run.
 struct Observed {
   std::string StdoutData;
@@ -140,33 +149,11 @@ auditPrepared(const Prepared &P, const analysis::SummaryObligations &O);
 /// compiles.
 Result<Observed> runSpecLevel(const RunSpec &Spec);
 
-/// Runs at one level.  Rtl and Verilog are considerably slower; their
-/// cycle budgets derive from MaxSteps times a cycles-per-instruction
-/// bound (see RunSpec::MaxCycles).
-///
-/// \deprecated Thin wrapper over stack::Executor (Executor.h), which
-/// adds observers, counters, pause/resume, and a distinct timeout
-/// status.  Kept for the one-shot call sites; see DESIGN.md §8.
-Result<Observed> runLevel(const RunSpec &Spec, const Prepared &P, Level L);
-
-/// Convenience: prepare + run.
-///
-/// \deprecated Thin wrapper over stack::Executor; see runLevel.
-Result<Observed> run(const RunSpec &Spec, Level L);
-
-/// Runs the compiled image on the circuit-level Silver core (RTL), or on
-/// the generated Verilog AST under verilog_sem when \p ThroughVerilog.
-///
-/// \deprecated Thin wrapper over stack::Executor; see runLevel.
-Result<Observed> runRtlLevel(const RunSpec &Spec, const Prepared &P,
-                             bool ThroughVerilog);
-
 /// The cross-level check: runs the given levels and verifies agreement
-/// of stdout/stderr/exit code.  A run that exited with the OOM code is
-/// accepted when its output is a prefix of the spec's (extend_with_oom).
-///
-/// \deprecated Thin wrapper over stack::Executor (one Executor, one run
-/// per level); see DESIGN.md §8.
+/// of stdout/stderr/exit code with the Spec level.  A run that exited
+/// with the OOM code is accepted when its output is a prefix of the
+/// spec's (extend_with_oom).  One Executor, prepared once, runs every
+/// level.
 Result<std::vector<Observed>> checkEndToEnd(const RunSpec &Spec,
                                             const std::vector<Level> &Levels);
 

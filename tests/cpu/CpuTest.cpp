@@ -112,23 +112,19 @@ TEST(Core, WaitsForMemStartInterface) {
   // Before mem_start_ready the core must stay in Init and issue nothing.
   SilverCore Core = buildSilverCore();
   auto Sim = makeCircuitSim(Core);
-  std::map<std::string, uint64_t> In{{"mem_rdata", 0},
-                                     {"mem_ready", 0},
-                                     {"mem_start_ready", 0},
-                                     {"interrupt_ack", 0},
-                                     {"data_in", 0}};
-  std::map<std::string, uint64_t> Out;
+  CoreInputs In;
+  CoreOutputs Out;
   for (int I = 0; I != 10; ++I) {
-    ASSERT_TRUE(Sim->step(In, Out));
-    EXPECT_EQ(Out.at("mem_ren"), 0u);
-    EXPECT_EQ(Out.at("mem_wen"), 0u);
-    EXPECT_EQ(Out.at("retire"), 0u);
+    ASSERT_TRUE(Sim->stepDense(In, Out));
+    EXPECT_FALSE(Out.MemRen);
+    EXPECT_FALSE(Out.MemWen);
+    EXPECT_FALSE(Out.Retire);
   }
-  In["mem_start_ready"] = 1;
-  ASSERT_TRUE(Sim->step(In, Out));
-  ASSERT_TRUE(Sim->step(In, Out));
-  EXPECT_EQ(Out.at("mem_ren"), 1u); // fetch request for address 0
-  EXPECT_EQ(Out.at("mem_addr"), 0u);
+  In.MemStartReady = true;
+  ASSERT_TRUE(Sim->stepDense(In, Out));
+  ASSERT_TRUE(Sim->stepDense(In, Out));
+  EXPECT_TRUE(Out.MemRen); // fetch request for address 0
+  EXPECT_EQ(Out.MemAddr, 0u);
 }
 
 class IsaRtlRandom
@@ -214,37 +210,42 @@ TEST(LabEnvModel, MemoryLatencyIsHonoured) {
   Opt.MemLatency = 2;
   LabEnv Env(std::vector<uint8_t>(64, 0), Layout, Opt);
 
-  std::map<std::string, uint64_t> Out{
-      {"mem_addr", 8}, {"mem_ren", 1}, {"mem_wen", 0}, {"mem_wbyte", 0},
-      {"mem_wdata", 0}, {"interrupt_req", 0}};
-  std::map<std::string, uint64_t> Idle = Out;
-  Idle["mem_ren"] = 0;
+  CoreOutputs Out;
+  Out.MemAddr = 8;
+  Out.MemRen = true;
+  CoreOutputs Idle = Out;
+  Idle.MemRen = false;
 
-  Env.inputsForCycle();
+  CoreInputs In;
+  Env.inputsForCycle(In);
   ASSERT_TRUE(Env.observeOutputs(Out)); // request at cycle 0
-  EXPECT_EQ(Env.inputsForCycle().at("mem_ready"), 0u);
+  Env.inputsForCycle(In);
+  EXPECT_FALSE(In.MemReady);
   ASSERT_TRUE(Env.observeOutputs(Idle));
-  EXPECT_EQ(Env.inputsForCycle().at("mem_ready"), 0u);
+  Env.inputsForCycle(In);
+  EXPECT_FALSE(In.MemReady);
   ASSERT_TRUE(Env.observeOutputs(Idle));
-  EXPECT_EQ(Env.inputsForCycle().at("mem_ready"), 1u); // after 1+2 cycles
+  Env.inputsForCycle(In);
+  EXPECT_TRUE(In.MemReady); // after 1+2 cycles
 }
 
 TEST(LabEnvModel, RejectsProtocolViolations) {
   sys::MemoryLayout Layout{};
   LabEnv Env(std::vector<uint8_t>(64, 0), Layout, {});
-  std::map<std::string, uint64_t> Req{
-      {"mem_addr", 2}, {"mem_ren", 1}, {"mem_wen", 0}, {"mem_wbyte", 0},
-      {"mem_wdata", 0}, {"interrupt_req", 0}};
-  Env.inputsForCycle();
+  CoreOutputs Req;
+  Req.MemAddr = 2;
+  Req.MemRen = true;
+  CoreInputs In;
+  Env.inputsForCycle(In);
   EXPECT_FALSE(Env.observeOutputs(Req)); // misaligned word read
 
-  Req["mem_addr"] = 4;
+  Req.MemAddr = 4;
   ASSERT_TRUE(Env.observeOutputs(Req));
   EXPECT_FALSE(Env.observeOutputs(Req)); // request while busy
 
-  Req["mem_addr"] = 1024;
+  Req.MemAddr = 1024;
   LabEnv Env2(std::vector<uint8_t>(64, 0), Layout, {});
-  Env2.inputsForCycle();
+  Env2.inputsForCycle(In);
   EXPECT_FALSE(Env2.observeOutputs(Req)); // out of range
 }
 
@@ -253,12 +254,15 @@ TEST(LabEnvModel, ByteWritesTouchOneByte) {
   LabEnvOptions Opt;
   Opt.MemLatency = 0;
   LabEnv Env(std::vector<uint8_t>(64, 0xff), Layout, Opt);
-  std::map<std::string, uint64_t> Req{
-      {"mem_addr", 5}, {"mem_ren", 0}, {"mem_wen", 1}, {"mem_wbyte", 1},
-      {"mem_wdata", 0xaabbccdd}, {"interrupt_req", 0}};
-  Env.inputsForCycle();
+  CoreOutputs Req;
+  Req.MemAddr = 5;
+  Req.MemWen = true;
+  Req.MemWbyte = true;
+  Req.MemWdata = 0xaabbccdd;
+  CoreInputs In;
+  Env.inputsForCycle(In);
   ASSERT_TRUE(Env.observeOutputs(Req));
-  Env.inputsForCycle(); // completes the write
+  Env.inputsForCycle(In); // completes the write
   EXPECT_EQ(Env.memory()[5], 0xdd);
   EXPECT_EQ(Env.memory()[4], 0xff);
   EXPECT_EQ(Env.memory()[6], 0xff);

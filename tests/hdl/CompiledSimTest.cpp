@@ -57,24 +57,31 @@ VModule makeAB() {
 }
 
 /// Steps the reference interpreter and one compiled instance with the
-/// same input map and requires identical exported state every cycle.
+/// same inputs (named per cycle; an absent port is 0) and requires
+/// identical exported state every cycle.  The compiled instance takes
+/// the dense frame in its input-ordinal order.
 void lockstep(const VModule &M, CompiledSim &Sim,
               const std::vector<std::map<std::string, uint64_t>> &Frames) {
   SimState Ref = SimState::init(M);
+  std::vector<uint64_t> Dense(Sim.numInputs());
   for (size_t Cycle = 0; Cycle != Frames.size(); ++Cycle) {
+    auto BitsOf = [&](const std::string &Name) -> uint64_t {
+      auto It = Frames[Cycle].find(Name);
+      return It == Frames[Cycle].end() ? 0 : It->second;
+    };
     std::map<std::string, VValue> In;
     for (const VPort &P : M.Ports) {
       if (P.D != VPort::Dir::Input)
         continue;
-      uint64_t Bits = Frames[Cycle].count(P.Name)
-                          ? Frames[Cycle].at(P.Name)
-                          : 0;
+      uint64_t Bits = BitsOf(P.Name);
       In[P.Name] = P.Type.K == VType::Kind::Bool
                        ? VValue::boolean(Bits != 0)
                        : VValue::vec(P.Type.Width, Bits);
     }
+    for (size_t K = 0; K != Dense.size(); ++K)
+      Dense[K] = BitsOf(Sim.inputName(K));
     ASSERT_TRUE(stepCycle(M, Ref, In));
-    ASSERT_TRUE(Sim.step(Frames[Cycle]));
+    ASSERT_TRUE(Sim.stepDense(Dense.data(), Dense.size()));
     ASSERT_TRUE(Sim.exportState(M) == Ref) << "cycle " << Cycle;
   }
 }

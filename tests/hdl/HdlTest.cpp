@@ -279,8 +279,8 @@ TEST(FastSimTest, AgreesWithReferenceOnAB) {
   for (int Cycle = 0; Cycle != 500; ++Cycle) {
     bool Pulse = R.chance(1, 2);
     ASSERT_TRUE(pulseCycle(M, Ref, Pulse));
-    std::map<std::string, uint64_t> In{{"pulse", Pulse ? 1u : 0u}};
-    ASSERT_TRUE(Fast.step(In));
+    uint64_t Frame[1] = {Pulse ? 1u : 0u};
+    ASSERT_TRUE(Fast.stepDense(Frame, 1));
     SimState Exported = Fast.exportState(M);
     ASSERT_TRUE(Exported == Ref) << "cycle " << Cycle;
   }
@@ -301,38 +301,32 @@ TEST(FastSimTest, MultiProcessBlockingIsolation) {
 
   Result<std::unique_ptr<FastSim>> FastOr = FastSim::compile(M);
   ASSERT_TRUE(FastOr);
-  ASSERT_TRUE((*FastOr)->step({}));
+  ASSERT_TRUE((*FastOr)->stepDense(nullptr, 0));
   EXPECT_EQ((*FastOr)->valueOf("r"), 0u);
   EXPECT_EQ((*FastOr)->valueOf("t"), 9u);
 }
 
-TEST(FastSimTest, DenseAndMapSteppingAgreeWithReference) {
-  // Three-way lock-step on the AB module: one simulator driven through
-  // the named-input compatibility wrapper, one through the dense frame,
-  // both against hdl::stepCycle.  AB has two processes, so this also
-  // covers the undo/commit-log path (single-process modules take the
-  // direct-blocking shortcut).
+TEST(FastSimTest, DenseSteppingLockStepsWithReference) {
+  // Lock-step on the AB module: the dense frame against hdl::stepCycle,
+  // with the input ordinal resolved by name.  AB has two processes, so
+  // this covers the undo/commit-log path (single-process modules take
+  // the direct-blocking shortcut).
   VModule M = makeAB();
-  Result<std::unique_ptr<FastSim>> ViaMapOr = FastSim::compile(M);
-  Result<std::unique_ptr<FastSim>> ViaDenseOr = FastSim::compile(M);
-  ASSERT_TRUE(ViaMapOr);
-  ASSERT_TRUE(ViaDenseOr);
-  FastSim &ViaMap = **ViaMapOr;
-  FastSim &ViaDense = **ViaDenseOr;
+  Result<std::unique_ptr<FastSim>> FastOr = FastSim::compile(M);
+  ASSERT_TRUE(FastOr);
+  FastSim &Fast = **FastOr;
 
-  ASSERT_EQ(ViaDense.numInputs(), 1u);
-  ASSERT_EQ(ViaDense.inputName(0), "pulse");
+  ASSERT_EQ(Fast.numInputs(), 1u);
+  ASSERT_EQ(Fast.inputName(0), "pulse");
 
   SimState Ref = SimState::init(M);
   Rng R(23);
   for (int Cycle = 0; Cycle != 500; ++Cycle) {
     bool Pulse = R.chance(1, 2);
     ASSERT_TRUE(pulseCycle(M, Ref, Pulse));
-    ASSERT_TRUE(ViaMap.step({{"pulse", Pulse ? 1u : 0u}}));
     uint64_t Frame[1] = {Pulse ? 1u : 0u};
-    ASSERT_TRUE(ViaDense.stepDense(Frame, 1));
-    ASSERT_TRUE(ViaMap.exportState(M) == Ref) << "cycle " << Cycle;
-    ASSERT_TRUE(ViaDense.exportState(M) == Ref) << "cycle " << Cycle;
+    ASSERT_TRUE(Fast.stepDense(Frame, 1));
+    ASSERT_TRUE(Fast.exportState(M) == Ref) << "cycle " << Cycle;
   }
 }
 

@@ -501,14 +501,3 @@ TEST(Executor, JitBackendMatchesInterpAtIsa) {
 TEST(Executor, JitBackendMatchesInterpAtMachine) {
   expectJitSessionMatchesInterp(Level::Machine);
 }
-
-TEST(Executor, DeprecatedWrappersStillAgree) {
-  // The old one-shot API is now a thin wrapper; its Observed must be
-  // unchanged.
-  RunSpec Spec = helloSpec();
-  Result<Observed> Old = run(Spec, Level::Isa);
-  ASSERT_TRUE(Old) << Old.error().str();
-  Result<Outcome> New = Executor::create(Spec).take().run(Level::Isa);
-  ASSERT_TRUE(New) << New.error().str();
-  expectSameObserved(*Old, New->Behaviour);
-}

@@ -7,7 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "stack/Apps.h"
-#include "stack/Stack.h"
+#include "stack/Executor.h"
 
 #include <gtest/gtest.h>
 
@@ -21,10 +21,10 @@ void expectAllSoftwareLevels(RunSpec Spec, const std::string &ExpectOut,
   Result<std::vector<Observed>> R =
       checkEndToEnd(Spec, {Level::Machine, Level::Isa});
   ASSERT_TRUE(R) << R.error().str();
-  Result<Observed> Isa = run(Spec, Level::Isa);
+  Result<Outcome> Isa = Executor::create(Spec).take().run(Level::Isa);
   ASSERT_TRUE(Isa);
-  EXPECT_EQ(Isa->StdoutData, ExpectOut);
-  EXPECT_EQ(Isa->ExitCode, ExpectCode);
+  EXPECT_EQ(Isa->Behaviour.StdoutData, ExpectOut);
+  EXPECT_EQ(Isa->Behaviour.ExitCode, ExpectCode);
 }
 
 } // namespace
@@ -54,9 +54,10 @@ TEST(EndToEnd, WcEdgeCases) {
     RunSpec Spec;
     Spec.Source = wcSource();
     Spec.StdinData = Input;
-    Result<Observed> R = run(Spec, Level::Isa);
+    Result<Outcome> R = Executor::create(Spec).take().run(Level::Isa);
     ASSERT_TRUE(R) << R.error().str();
-    EXPECT_EQ(R->StdoutData, wcSpec(Input)) << "input: '" << Input << "'";
+    EXPECT_EQ(R->Behaviour.StdoutData, wcSpec(Input))
+        << "input: '" << Input << "'";
   }
 }
 
@@ -74,9 +75,9 @@ TEST(EndToEnd, SortOnHardwareSmallInput) {
   Spec.Source = sortSource();
   Spec.StdinData = Input;
   Spec.Exec.MaxSteps = 400'000'000;
-  Result<Observed> R = run(Spec, Level::Rtl);
+  Result<Outcome> R = Executor::create(Spec).take().run(Level::Rtl);
   ASSERT_TRUE(R) << R.error().str();
-  EXPECT_EQ(R->StdoutData, "apple\nmango\npear\nzebra\n");
+  EXPECT_EQ(R->Behaviour.StdoutData, "apple\nmango\npear\nzebra\n");
 }
 
 TEST(EndToEnd, CatRoundTripsBinaryishData) {
@@ -116,9 +117,10 @@ TEST(EndToEnd, ProofCheckerAgainstSpecOnMutations) {
     RunSpec Spec;
     Spec.Source = proofCheckerSource();
     Spec.StdinData = Mutated;
-    Result<Observed> R = run(Spec, Level::Isa);
+    Result<Outcome> R = Executor::create(Spec).take().run(Level::Isa);
     ASSERT_TRUE(R) << R.error().str();
-    EXPECT_EQ(R->StdoutData, proofSpec(Mutated)) << "mutation at " << I;
+    EXPECT_EQ(R->Behaviour.StdoutData, proofSpec(Mutated))
+        << "mutation at " << I;
   }
 }
 
@@ -129,10 +131,10 @@ TEST(EndToEnd, TinCompilerMatchesSpec) {
     Spec.Source = tinCompilerSource();
     Spec.StdinData = Program;
     Spec.Exec.MaxSteps = 500'000'000;
-    Result<Observed> R = run(Spec, Level::Isa);
+    Result<Outcome> R = Executor::create(Spec).take().run(Level::Isa);
     ASSERT_TRUE(R) << R.error().str();
-    EXPECT_EQ(R->StdoutData, tinSpec(Program)) << Program;
-    EXPECT_EQ(R->ExitCode, 0);
+    EXPECT_EQ(R->Behaviour.StdoutData, tinSpec(Program)) << Program;
+    EXPECT_EQ(R->Behaviour.ExitCode, 0);
   }
 }
 
@@ -142,10 +144,10 @@ TEST(EndToEnd, TinCompilerRejectsBadPrograms) {
     RunSpec Spec;
     Spec.Source = tinCompilerSource();
     Spec.StdinData = Bad;
-    Result<Observed> R = run(Spec, Level::Isa);
+    Result<Outcome> R = Executor::create(Spec).take().run(Level::Isa);
     ASSERT_TRUE(R) << R.error().str();
-    EXPECT_EQ(R->StdoutData, "ERROR\n") << Bad;
-    EXPECT_EQ(R->StdoutData, tinSpec(Bad)) << Bad;
+    EXPECT_EQ(R->Behaviour.StdoutData, "ERROR\n") << Bad;
+    EXPECT_EQ(R->Behaviour.StdoutData, tinSpec(Bad)) << Bad;
   }
 }
 
@@ -162,7 +164,7 @@ TEST(EndToEnd, PaperStdinBoundIsEnforced) {
   RunSpec Spec;
   Spec.Source = catSource();
   Spec.StdinData.assign(Spec.Compile.Layout.StdinCap + 1, 'x');
-  Result<Observed> R = run(Spec, Level::Isa);
+  Result<Outcome> R = Executor::create(Spec).take().run(Level::Isa);
   EXPECT_FALSE(R);
 }
 
@@ -189,9 +191,30 @@ TEST(EndToEnd, LevelsDisagreeOnlyNever) {
 TEST(EndToEnd, InstructionCountsAreDeterministic) {
   RunSpec Spec;
   Spec.Source = helloSource();
-  Result<Observed> A = run(Spec, Level::Isa);
-  Result<Observed> B = run(Spec, Level::Isa);
+  Result<Outcome> A = Executor::create(Spec).take().run(Level::Isa);
+  Result<Outcome> B = Executor::create(Spec).take().run(Level::Isa);
   ASSERT_TRUE(A);
   ASSERT_TRUE(B);
-  EXPECT_EQ(A->Instructions, B->Instructions);
+  EXPECT_EQ(A->Behaviour.Instructions, B->Behaviour.Instructions);
+}
+
+TEST(Stack, ParseLevelAcceptsExactlyTheCliSpellings) {
+  const std::pair<const char *, Level> Accepted[] = {
+      {"spec", Level::Spec},
+      {"machine", Level::Machine},
+      {"isa", Level::Isa},
+      {"rtl", Level::Rtl},
+      {"verilog", Level::Verilog}};
+  for (const auto &[Name, Want] : Accepted) {
+    Level L = Level::Spec;
+    ASSERT_TRUE(parseLevel(Name, L)) << Name;
+    EXPECT_EQ(L, Want) << Name;
+  }
+  // jit is a backend (--backend=jit), machine-sem is levelName's
+  // spelling for reports, not an input spelling.
+  for (const char *Rejected : {"jit", "machine-sem", ""}) {
+    Level L = Level::Rtl;
+    EXPECT_FALSE(parseLevel(Rejected, L)) << Rejected;
+    EXPECT_EQ(L, Level::Rtl) << "a rejected spelling leaves Out alone";
+  }
 }

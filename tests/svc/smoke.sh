@@ -12,7 +12,9 @@
 #      verilog tier) and requires every one to come back completed with
 #      the right stdout — zero lost, zero duplicated
 #   3. cross-checks the silver-client --json outcome shape against
-#      silverc --json for the same program (one parser, two producers)
+#      silverc --json for the same program (one parser, two producers),
+#      requires both to name a level identically, and requires both
+#      to reject --level=jit (a backend, not a level) with usage
 #   4. SIGTERMs the daemon with work in flight and requires a graceful
 #      drain: exit 0, every job finished, nothing killed
 #
@@ -123,6 +125,31 @@ if [ -n "$SILVERC" ]; then
       || fail "silver-client --json missing key $key"
   done
   echo "smoke: silverc/silver-client --json share the outcome shape"
+
+  # Same level, same "level" value (client 2 ran hello at machine).
+  "$SILVERC" --json --level=machine "$WORK/hello.cml" \
+    > "$WORK/silverc-machine.json" 2>/dev/null \
+    || fail "silverc --json --level=machine failed"
+  C_LEVEL=$(grep -o '"level":"[^"]*"' "$WORK/silverc-machine.json")
+  S_LEVEL=$(grep -o '"level":"[^"]*"' "$WORK/client2.json")
+  [ -n "$C_LEVEL" ] && [ "$C_LEVEL" = "$S_LEVEL" ] \
+    || fail "level value differs: silverc $C_LEVEL, silver-client $S_LEVEL"
+  echo "smoke: silverc/silver-client --json agree on the level value"
+
+  # jit is selected with --backend=jit; --level=jit is no level.
+  if "$SILVERC" --level=jit "$WORK/hello.cml" \
+       > /dev/null 2> "$WORK/silverc-jit.err"; then
+    fail "silverc accepted --level=jit"
+  fi
+  grep -q '^usage:' "$WORK/silverc-jit.err" \
+    || fail "silverc --level=jit did not print usage"
+  if "$CLIENT" --socket="$SOCK" submit --builtin=hello --level=jit \
+       > /dev/null 2> "$WORK/client-jit.err"; then
+    fail "silver-client accepted --level=jit"
+  fi
+  grep -q '^usage:' "$WORK/client-jit.err" \
+    || fail "silver-client --level=jit did not print usage"
+  echo "smoke: --level=jit is rejected with usage by silverc and silver-client"
 fi
 
 #--- 4. SIGTERM drains in-flight work -----------------------------------------
