@@ -1,11 +1,12 @@
 //===- bench/bench_verilog.cpp - E6: the Verilog semantics' cost ---------------===//
 //
 // Measures the three executions of the same hardware: the circuit-IR
-// interpreter (layer 3), the compiled Verilog simulator, and the
-// reference operational semantics with its per-cycle non-blocking queue
-// (verilog_sem, §3) — on the paper's AB example and on the Silver core.
-// The reference/compiled gap is the price of the standard-faithful
-// queue-and-merge evaluation strategy.
+// interpreter (layer 3), hdl::FastSim (the Verilog simulator that
+// --hdl=interp selects; the hdl/compile backend is bench_layers'
+// verilog-compiled row), and the reference operational semantics with
+// its per-cycle non-blocking queue (verilog_sem, §3) — on the paper's AB
+// example and on the Silver core.  The reference/FastSim gap is the
+// price of the standard-faithful queue-and-merge evaluation strategy.
 //
 //===----------------------------------------------------------------------===//
 
@@ -78,7 +79,7 @@ void BM_AB_VerilogReference(benchmark::State &State) {
 }
 BENCHMARK(BM_AB_VerilogReference);
 
-void BM_AB_VerilogCompiled(benchmark::State &State) {
+void BM_AB_VerilogFastSim(benchmark::State &State) {
   rtl::Circuit C = makeAB();
   Result<hdl::VModule> M = rtl::toVerilog(C);
   if (!M) {
@@ -100,7 +101,7 @@ void BM_AB_VerilogCompiled(benchmark::State &State) {
   State.counters["CyclesPerSec"] = benchmark::Counter(
       static_cast<double>(Cycles), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_AB_VerilogCompiled);
+BENCHMARK(BM_AB_VerilogFastSim);
 
 void BM_Silver_CircuitInterp(benchmark::State &State) {
   cpu::SilverCore Core = cpu::buildSilverCore();
@@ -142,7 +143,7 @@ void BM_Silver_VerilogReference(benchmark::State &State) {
 }
 BENCHMARK(BM_Silver_VerilogReference);
 
-void BM_Silver_VerilogCompiled(benchmark::State &State) {
+void BM_Silver_VerilogFastSim(benchmark::State &State) {
   cpu::SilverCore Core = cpu::buildSilverCore();
   Result<hdl::VModule> M = rtl::toVerilog(Core.Circuit);
   if (!M) {
@@ -166,7 +167,7 @@ void BM_Silver_VerilogCompiled(benchmark::State &State) {
   State.counters["CyclesPerSec"] = benchmark::Counter(
       static_cast<double>(Cycles), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Silver_VerilogCompiled);
+BENCHMARK(BM_Silver_VerilogFastSim);
 
 } // namespace
 

@@ -27,7 +27,7 @@ int64_t toSigned(unsigned Width, uint64_t Bits) {
 
 /// Compiled expression node.  Booleans are width-0 slots holding 0/1.
 struct FExp {
-  VExpKind Kind;
+  VExpKind Kind{};
   BinaryOp BOp = BinaryOp::Add;
   UnaryOp UOp = UnaryOp::Not;
   unsigned Width = 0; ///< vec width of the *result* (0 for bool)

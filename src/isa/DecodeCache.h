@@ -6,13 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A decode cache for the Silver interpreters: each instruction word is
-/// decoded once per address into a dense DecodedInsn entry, and the hot
-/// run loops (isa::run, machine::MachineSem, cpu::checkIsaRtl) execute
-/// from the cached entry instead of re-running fetch-decode every step.
-/// This removes the double decode the reference loop performs (isHalted
-/// decodes PC, then step decodes it again) — the halt self-jump test
-/// becomes a cached flag.
+/// A decode cache for the Silver interpreter: each instruction word is
+/// decoded once per address into a dense DecodedInsn entry, and the one
+/// predecoded run loop (isa::run with a cache, which every ExecBackend
+/// and so machine::MachineSem and the stack's ISA session step with)
+/// executes from the cached entry instead of re-running fetch-decode
+/// every step.  This removes the double decode the reference loop
+/// performs (isHalted decodes PC, then step decodes it again) — the
+/// halt self-jump test becomes a cached flag.
 ///
 /// Correctness contract: an entry is valid for address A only while the
 /// word at A is unchanged.  Every path that can write instruction memory
@@ -78,7 +79,7 @@ public:
 
   /// Entry for word-aligned, in-range \p Pc; decodes and fills the slot
   /// on first use.  The caller has already validated alignment and range
-  /// (the run loops check PC before the lookup).
+  /// (the run loop checks PC before the lookup).
   const DecodedInsn &lookup(const MachineState &State, Word Pc) {
     DecodedInsn &E = slot(Pc);
     if (E.St != DecodedInsn::Empty) {

@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One interface over the step/run/runUntilPc/isHalted entry points of
-/// the Silver ISA, so the layers above (machine::MachineSem, the
-/// stack::Executor ISA session, cpu::checkIsaRtl) stop special-casing
-/// the interpreter and can swap in the baseline JIT (isa/jit/Jit.h)
-/// without touching their run loops.
+/// One interface over the predecoded run loop of the Silver ISA
+/// (isa::run with a DecodeCache), so the layers above
+/// (machine::MachineSem and the stack::Executor ISA session) stop
+/// special-casing the interpreter and can swap in the baseline JIT
+/// (isa/jit/Jit.h) without touching their run loops.  run() is the only
+/// execution entry point: a single step is a run with budget 1.
 ///
 /// The contract every backend implements is the reference semantics of
 /// isa/Interp.h, bit for bit: identical step counts, identical faults,
@@ -46,32 +47,13 @@ public:
   /// Stable backend identifier ("interp", "jit") for stats and logs.
   virtual const char *name() const = 0;
 
-  /// One step of the ISA semantics (reference-exact, including faults).
-  virtual StepResult step(MachineState &State, IsaEnv &Env) = 0;
-
-  /// Fused is_halted test and step (see isa::stepUnlessHalted).
-  virtual HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env) = 0;
-
-  /// Instrumented variant: emits mem/retire events to \p Obs.
-  virtual HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env,
-                                      obs::Observer &Obs,
-                                      uint64_t RetireIndex) = 0;
-
-  /// The paper's is_halted predicate.
-  virtual bool isHalted(const MachineState &State) = 0;
-
-  /// Runs until halt, fault, or \p MaxSteps instructions execute.
-  virtual RunResult run(MachineState &State, IsaEnv &Env,
-                        uint64_t MaxSteps) = 0;
-
-  /// Instrumented run; with a null Hooks.Obs this is exactly run().
+  /// Runs until halt, fault, \p MaxSteps instructions, or — before
+  /// executing — PC reaching \p StopPc (the machine-sem FFI boundary).
+  /// With \p Hooks carrying an observer the run emits events and is
+  /// interpreter-exact; see isa::run.
   virtual RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-                        ObsHooks &Hooks) = 0;
-
-  /// Runs, additionally stopping — before executing — whenever PC equals
-  /// \p StopPc (the machine-sem FFI-boundary burst loop).
-  virtual RunStopResult runUntilPc(MachineState &State, IsaEnv &Env,
-                                   uint64_t MaxSteps, Word StopPc) = 0;
+                        std::optional<Word> StopPc = std::nullopt,
+                        ObsHooks *Hooks = nullptr) = 0;
 
   /// Memory bytes [Addr, Addr+Size) changed behind the backend's back;
   /// drop every derived artifact (decoded slots, compiled blocks) that
@@ -90,31 +72,9 @@ public:
 class InterpBackend final : public ExecBackend {
 public:
   const char *name() const override { return "interp"; }
-  StepResult step(MachineState &State, IsaEnv &Env) override {
-    return isa::step(State, Env, Cache);
-  }
-  HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env) override {
-    return isa::stepUnlessHalted(State, Env, Cache);
-  }
-  HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env,
-                              obs::Observer &Obs,
-                              uint64_t RetireIndex) override {
-    return isa::stepUnlessHalted(State, Env, Obs, RetireIndex, Cache);
-  }
-  bool isHalted(const MachineState &State) override {
-    return isa::isHalted(State, Cache);
-  }
-  RunResult run(MachineState &State, IsaEnv &Env,
-                uint64_t MaxSteps) override {
-    return isa::run(State, Env, MaxSteps, Cache);
-  }
   RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-                ObsHooks &Hooks) override {
-    return isa::run(State, Env, MaxSteps, Hooks, Cache);
-  }
-  RunStopResult runUntilPc(MachineState &State, IsaEnv &Env,
-                           uint64_t MaxSteps, Word StopPc) override {
-    return isa::runUntilPc(State, Env, MaxSteps, StopPc, Cache);
+                std::optional<Word> StopPc, ObsHooks *Hooks) override {
+    return isa::run(State, Env, MaxSteps, StopPc, Hooks, Cache);
   }
   void invalidate(Word Addr, Word Size) override {
     Cache.invalidate(Addr, Size);

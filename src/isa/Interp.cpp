@@ -173,7 +173,7 @@ struct CacheInval {
 
 /// Executes the already-decoded \p I at State.PC.  The fetch-side checks
 /// (PC range/alignment, decodability) are the caller's: stepImpl does
-/// them per step, the predecoded loops get them from the cache entry.
+/// them per step, the predecoded loop gets them from the cache entry.
 template <class Emit, class Inval>
 static StepResult execImpl(MachineState &State, IsaEnv &Env,
                            const Instruction &I, Emit &&E, Inval &&Inv) {
@@ -318,28 +318,6 @@ static StepResult stepImpl(MachineState &State, IsaEnv &Env, Emit &&E) {
   return execImpl(State, Env, *Decoded, E, NoInval{});
 }
 
-/// Predecoded step: the fetch-side checks survive, but the decode comes
-/// from the cache (and stores drop the slots they overwrite).
-template <class Emit>
-static StepResult cachedStepImpl(MachineState &State, IsaEnv &Env,
-                                 DecodeCache &Cache, Emit &&E) {
-  StepResult Out;
-  if (!State.inRange(State.PC, 4)) {
-    Out.Fault = StepFault::PcOutOfRange;
-    return Out;
-  }
-  if (!isAligned(State.PC, 4)) {
-    Out.Fault = StepFault::PcMisaligned;
-    return Out;
-  }
-  const DecodedInsn &D = Cache.lookup(State, State.PC);
-  if (D.St == DecodedInsn::Illegal) {
-    Out.Fault = StepFault::IllegalInstruction;
-    return Out;
-  }
-  return execImpl(State, Env, D.I, E, CacheInval{Cache});
-}
-
 StepResult silver::isa::step(MachineState &State, IsaEnv &Env) {
   NullEmit E;
   return stepImpl(State, Env, E);
@@ -351,69 +329,11 @@ StepResult silver::isa::step(MachineState &State, IsaEnv &Env,
   return stepImpl(State, Env, E);
 }
 
-StepResult silver::isa::step(MachineState &State, IsaEnv &Env,
-                             DecodeCache &Cache) {
-  NullEmit E;
-  return cachedStepImpl(State, Env, Cache, E);
-}
-
-StepResult silver::isa::step(MachineState &State, IsaEnv &Env,
-                             obs::Observer &Obs, uint64_t RetireIndex,
-                             DecodeCache &Cache) {
-  ObsEmit E{Obs, RetireIndex};
-  return cachedStepImpl(State, Env, Cache, E);
-}
-
-template <class Emit>
-static HaltOrStep stepUnlessHaltedImpl(MachineState &State, IsaEnv &Env,
-                                       DecodeCache &Cache, Emit &&E) {
-  HaltOrStep R;
-  if (!State.inRange(State.PC, 4)) {
-    R.S.Fault = StepFault::PcOutOfRange;
-    return R;
-  }
-  if (!isAligned(State.PC, 4)) {
-    R.S.Fault = StepFault::PcMisaligned;
-    return R;
-  }
-  const DecodedInsn &D = Cache.lookup(State, State.PC);
-  if (D.St == DecodedInsn::Illegal) {
-    R.S.Fault = StepFault::IllegalInstruction;
-    return R;
-  }
-  if (D.SelfJump) {
-    R.Halted = true;
-    return R;
-  }
-  R.S = execImpl(State, Env, D.I, E, CacheInval{Cache});
-  return R;
-}
-
-HaltOrStep silver::isa::stepUnlessHalted(MachineState &State, IsaEnv &Env,
-                                         DecodeCache &Cache) {
-  NullEmit E;
-  return stepUnlessHaltedImpl(State, Env, Cache, E);
-}
-
-HaltOrStep silver::isa::stepUnlessHalted(MachineState &State, IsaEnv &Env,
-                                         obs::Observer &Obs,
-                                         uint64_t RetireIndex,
-                                         DecodeCache &Cache) {
-  ObsEmit E{Obs, RetireIndex};
-  return stepUnlessHaltedImpl(State, Env, Cache, E);
-}
-
 bool silver::isa::isHalted(const MachineState &State) {
   if (!State.inRange(State.PC, 4) || !isAligned(State.PC, 4))
     return false;
   Result<Instruction> Decoded = decode(State.readWord(State.PC));
   return Decoded && Decoded->isSelfJump();
-}
-
-bool silver::isa::isHalted(const MachineState &State, DecodeCache &Cache) {
-  if (!State.inRange(State.PC, 4) || !isAligned(State.PC, 4))
-    return false;
-  return Cache.lookup(State, State.PC).SelfJump;
 }
 
 RunResult silver::isa::run(MachineState &State, IsaEnv &Env,
@@ -434,116 +354,91 @@ RunResult silver::isa::run(MachineState &State, IsaEnv &Env,
   return R;
 }
 
-RunResult silver::isa::run(MachineState &State, IsaEnv &Env,
-                           uint64_t MaxSteps, DecodeCache &Cache) {
-  // The reference loop above fetches and decodes PC twice per iteration
-  // (isHalted, then step).  Here both collapse into one cache lookup; on
-  // a hit the loop body is check-flag-and-execute.
-  RunResult R;
-  NullEmit E;
-  while (R.Steps < MaxSteps) {
-    if (!State.inRange(State.PC, 4) || !isAligned(State.PC, 4)) {
-      // Not a halt; take the reference step to report the exact fault.
-      StepResult S = step(State, Env);
-      R.Fault = S.Fault;
-      return R;
-    }
-    const DecodedInsn &D = Cache.lookup(State, State.PC);
-    if (D.St == DecodedInsn::Illegal) {
-      R.Fault = StepFault::IllegalInstruction;
-      return R;
-    }
-    if (D.SelfJump) {
-      R.Halted = true;
-      return R;
-    }
-    StepResult S = execImpl(State, Env, D.I, E, CacheInval{Cache});
-    if (!S.ok()) {
-      R.Fault = S.Fault;
-      return R;
-    }
-    ++R.Steps;
-  }
-  return R;
+/// Opens an FFI span when the PC reaches the hooks' entry point.
+static void enterFfi(const MachineState &State, ObsHooks &Hooks) {
+  if (!Hooks.FfiEntryPc || Hooks.InFfi || State.PC != Hooks.FfiEntryPc)
+    return;
+  Hooks.InFfi = true;
+  Hooks.FfiIndex = State.Regs[abi::FfiIndexReg];
+  obs::FfiEvent E;
+  E.Index = Hooks.FfiIndex;
+  E.Entry = true;
+  Hooks.Obs->onFfi(E);
 }
 
-RunStopResult silver::isa::runUntilPc(MachineState &State, IsaEnv &Env,
-                                      uint64_t MaxSteps, Word StopPc,
-                                      DecodeCache &Cache) {
-  RunStopResult R;
-  NullEmit E;
+/// Closes the open FFI span once the PC has left the FFI region.
+static void leaveFfi(const MachineState &State, ObsHooks &Hooks) {
+  if (!Hooks.InFfi ||
+      (State.PC >= Hooks.FfiRegionBegin && State.PC < Hooks.FfiRegionEnd))
+    return;
+  Hooks.InFfi = false;
+  obs::FfiEvent E;
+  E.Index = Hooks.FfiIndex;
+  E.Entry = false;
+  Hooks.Obs->onFfi(E);
+}
+
+/// The predecoded loop.  The reference loop fetches and decodes PC twice
+/// per iteration (isHalted, then step); here both collapse into one
+/// cache lookup, and on a hit the body is check-flag-and-execute.  The
+/// stop-PC compare and the event hooks are compiled in only where asked.
+template <bool HasStop, bool Observed>
+static RunResult runLoop(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
+                         Word StopPc, ObsHooks *Hooks, DecodeCache &Cache) {
+  RunResult R;
   while (R.Steps < MaxSteps) {
-    if (State.PC == StopPc) {
+    if (HasStop && State.PC == StopPc) {
       R.AtStopPc = true;
-      return R;
+      break;
     }
     if (!State.inRange(State.PC, 4) || !isAligned(State.PC, 4)) {
-      StepResult S = step(State, Env);
-      R.Fault = S.Fault;
-      return R;
+      if constexpr (Observed)
+        enterFfi(State, *Hooks);
+      // Not a halt; take the reference step to report the exact fault.
+      R.Fault = step(State, Env).Fault;
+      break;
     }
     const DecodedInsn &D = Cache.lookup(State, State.PC);
-    if (D.St == DecodedInsn::Illegal) {
-      R.Fault = StepFault::IllegalInstruction;
-      return R;
-    }
     if (D.SelfJump) {
       R.Halted = true;
-      return R;
-    }
-    StepResult S = execImpl(State, Env, D.I, E, CacheInval{Cache});
-    if (!S.ok()) {
-      R.Fault = S.Fault;
-      return R;
-    }
-    ++R.Steps;
-  }
-  return R;
-}
-
-RunResult silver::isa::run(MachineState &State, IsaEnv &Env,
-                           uint64_t MaxSteps, ObsHooks &Hooks) {
-  DecodeCache Cache;
-  return run(State, Env, MaxSteps, Hooks, Cache);
-}
-
-RunResult silver::isa::run(MachineState &State, IsaEnv &Env,
-                           uint64_t MaxSteps, ObsHooks &Hooks,
-                           DecodeCache &Cache) {
-  if (!Hooks.Obs)
-    return run(State, Env, MaxSteps, Cache);
-
-  obs::Observer &Obs = *Hooks.Obs;
-  RunResult R;
-  while (R.Steps < MaxSteps) {
-    if (isHalted(State, Cache)) {
-      R.Halted = true;
       break;
     }
-    if (Hooks.FfiEntryPc && !Hooks.InFfi && State.PC == Hooks.FfiEntryPc) {
-      Hooks.InFfi = true;
-      Hooks.FfiIndex = State.Regs[abi::FfiIndexReg];
-      obs::FfiEvent E;
-      E.Index = Hooks.FfiIndex;
-      E.Entry = true;
-      Obs.onFfi(E);
+    if constexpr (Observed)
+      enterFfi(State, *Hooks);
+    if (D.St == DecodedInsn::Illegal) {
+      R.Fault = StepFault::IllegalInstruction;
+      break;
     }
-    ObsEmit Em{Obs, Hooks.RetireIndexBase + R.Steps};
-    StepResult S = cachedStepImpl(State, Env, Cache, Em);
+    StepResult S;
+    if constexpr (Observed)
+      S = execImpl(State, Env, D.I,
+                   ObsEmit{*Hooks->Obs, Hooks->RetireIndexBase + R.Steps},
+                   CacheInval{Cache});
+    else
+      S = execImpl(State, Env, D.I, NullEmit{}, CacheInval{Cache});
     if (!S.ok()) {
       R.Fault = S.Fault;
       break;
     }
     ++R.Steps;
-    if (Hooks.InFfi && (State.PC < Hooks.FfiRegionBegin ||
-                        State.PC >= Hooks.FfiRegionEnd)) {
-      Hooks.InFfi = false;
-      obs::FfiEvent E;
-      E.Index = Hooks.FfiIndex;
-      E.Entry = false;
-      Obs.onFfi(E);
-    }
+    if constexpr (Observed)
+      leaveFfi(State, *Hooks);
   }
-  Hooks.RetireIndexBase += R.Steps;
+  if constexpr (Observed)
+    Hooks->RetireIndexBase += R.Steps;
   return R;
+}
+
+RunResult silver::isa::run(MachineState &State, IsaEnv &Env,
+                           uint64_t MaxSteps, std::optional<Word> StopPc,
+                           ObsHooks *Hooks, DecodeCache &Cache) {
+  Word Stop = StopPc.value_or(0);
+  if (Hooks && Hooks->Obs) {
+    if (StopPc)
+      return runLoop<true, true>(State, Env, MaxSteps, Stop, Hooks, Cache);
+    return runLoop<false, true>(State, Env, MaxSteps, Stop, Hooks, Cache);
+  }
+  if (StopPc)
+    return runLoop<true, false>(State, Env, MaxSteps, Stop, Hooks, Cache);
+  return runLoop<false, false>(State, Env, MaxSteps, Stop, Hooks, Cache);
 }

@@ -10,6 +10,11 @@
 /// function (the paper's `Next`, §4.1), plus the ALU shared between this
 /// interpreter, the machine-sem layer, and the RTL core checker.
 ///
+/// Two kinds of entry point: the reference semantics (step, isHalted and
+/// the run loop built from them), which the checks and the boot sequence
+/// compare against, and one predecoded run(..., DecodeCache&) that every
+/// execution backend (isa/ExecBackend.h) steps with.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SILVER_ISA_INTERP_H
@@ -19,6 +24,8 @@
 #include "isa/MachineState.h"
 #include "obs/Observer.h"
 #include "support/Result.h"
+
+#include <optional>
 
 namespace silver {
 namespace isa {
@@ -98,11 +105,6 @@ class DecodeCache;
 /// One step of the ISA semantics: fetch the word at PC, decode, execute.
 StepResult step(MachineState &State, IsaEnv &Env);
 
-/// Predecoded step (isa/DecodeCache.h): semantically identical, but the
-/// decode comes from \p Cache and stores invalidate the slots they
-/// overwrite, so self-modifying code matches the reference semantics.
-StepResult step(MachineState &State, IsaEnv &Env, DecodeCache &Cache);
-
 /// Instrumented step: additionally emits the memory accesses and the
 /// retirement (with \p RetireIndex) of this instruction to \p Obs.  Both
 /// overloads are compiled from the same template; the uninstrumented one
@@ -110,60 +112,22 @@ StepResult step(MachineState &State, IsaEnv &Env, DecodeCache &Cache);
 StepResult step(MachineState &State, IsaEnv &Env, obs::Observer &Obs,
                 uint64_t RetireIndex);
 
-/// Instrumented predecoded step.
-StepResult step(MachineState &State, IsaEnv &Env, obs::Observer &Obs,
-                uint64_t RetireIndex, DecodeCache &Cache);
-
-/// Result of a fused halt-check-and-step (see stepUnlessHalted).
-struct HaltOrStep {
-  bool Halted = false;
-  StepResult S;
-};
-
-/// The is_halted test and the step the reference loop performs
-/// back-to-back, fused over a single cache lookup: if the instruction at
-/// PC is the halt self-jump, returns Halted without stepping; otherwise
-/// executes it.  machine::MachineSem's per-step loop is built on this.
-HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env,
-                            DecodeCache &Cache);
-HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env,
-                            obs::Observer &Obs, uint64_t RetireIndex,
-                            DecodeCache &Cache);
-
-/// Outcome of runUntilPc: exactly one of AtStopPc / Halted is set, or
-/// Fault is non-None, or the step budget ran out (none set).
-struct RunStopResult {
-  uint64_t Steps = 0;    ///< instructions executed (none at StopPc)
-  bool AtStopPc = false; ///< stopped with PC == StopPc, before executing
+/// Outcome of a run: at most one of AtStopPc / Halted is set, or Fault is
+/// non-None; none of them means the step budget ran out.
+struct RunResult {
+  uint64_t Steps = 0;    ///< instructions executed
+  bool AtStopPc = false; ///< stopped with PC == the stop PC, before executing
   bool Halted = false;   ///< the halt self-jump was reached
   StepFault Fault = StepFault::None;
 };
 
-/// Predecoded run that additionally stops — before executing — whenever
-/// PC equals \p StopPc.  machine::MachineSem points StopPc at the FFI
-/// trampoline so its uninstrumented run is one tight loop with a single
-/// extra compare per instruction, instead of a cross-call per step.
-RunStopResult runUntilPc(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-                         Word StopPc, DecodeCache &Cache);
-
-/// Runs until the machine halts (reaches the self-jump fixpoint), a fault
-/// occurs, or \p MaxSteps instructions execute.
-struct RunResult {
-  uint64_t Steps = 0;
-  bool Halted = false;
-  StepFault Fault = StepFault::None;
-};
+/// The reference run loop: isHalted + step until the machine halts
+/// (reaches the self-jump fixpoint), a fault occurs, or \p MaxSteps
+/// instructions execute.
 RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps);
 
-/// Predecoded run loop: one cache lookup per instruction replaces the
-/// fetch-decode pair the reference loop performs (isHalted + step), with
-/// the halt test reduced to the entry's self-jump flag.
-RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-              DecodeCache &Cache);
-
 /// Observation hooks for an instrumented run.  All fields are optional;
-/// a default-constructed ObsHooks makes run() behave exactly like the
-/// plain overload.
+/// a null Obs makes run() behave exactly like an unobserved run.
 struct ObsHooks {
   obs::Observer *Obs = nullptr;
   /// Retirement index of the first instruction this run executes (lets a
@@ -180,26 +144,24 @@ struct ObsHooks {
   unsigned FfiIndex = 0;
 };
 
-/// Instrumented run: emits retire/memory/FFI events to Hooks.Obs.  With a
-/// null observer this is exactly the plain run().  \p Hooks is updated so
-/// a subsequent call resumes the event stream (paper-faithful pause /
-/// step-N execution for the stack::Executor API).
+/// The predecoded run loop (isa/DecodeCache.h), the one execution entry
+/// point every backend builds on.  Runs like the reference run() —
+/// identical steps, faults, halts and final state — with one cache
+/// lookup per instruction in place of the fetch-decode pair, and stores
+/// dropping the decoded slots they overwrite.  It additionally stops,
+/// before executing, whenever PC equals \p StopPc (machine::MachineSem
+/// points it at the FFI trampoline).  With \p Hooks carrying an observer
+/// it emits retire/memory/FFI events and advances the hooks so a
+/// subsequent call resumes the event stream.  The stop and observer
+/// choices select one of four compiled loops once per call.
 RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-              ObsHooks &Hooks);
-
-/// Instrumented predecoded run: the Hooks overload above with a caller-
-/// owned cache (a session that pauses and resumes keeps its predecode
-/// work across calls).
-RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-              ObsHooks &Hooks, DecodeCache &Cache);
+              std::optional<Word> StopPc, ObsHooks *Hooks,
+              DecodeCache &Cache);
 
 /// The paper's is_halted predicate: the instruction at PC is an
 /// unconditional self-jump, so every further step leaves the ISA-visible
 /// state unchanged (after the link register stabilises).
 bool isHalted(const MachineState &State);
-
-/// Predecoded is_halted: the self-jump test is the cached flag.
-bool isHalted(const MachineState &State, DecodeCache &Cache);
 
 } // namespace isa
 } // namespace silver

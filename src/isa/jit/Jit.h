@@ -30,8 +30,8 @@
 ///  - Exact step accounting.  A block charges its length against the
 ///    budget at entry and refunds the unexecuted tail on a side exit;
 ///    the dispatcher interprets single steps whenever the remaining
-///    budget is smaller than a block.  run/runUntilPc therefore report
-///    step counts identical to the interpreter's.
+///    budget is smaller than a block.  run() therefore reports step
+///    counts identical to the interpreter's.
 ///  - Store-guard pages.  Every 4 KiB page that ever held executed code
 ///    (a compiled block, or a decoded slot of the backend's
 ///    DecodeCache) is marked in a guard map; a native store into a
@@ -45,10 +45,10 @@
 ///
 /// Blocks chain directly block-to-block: a terminator whose target is a
 /// compiled block is patched to jump straight to it (the target's entry
-/// re-checks the budget), so hot loops never touch the dispatcher.  In
-/// runUntilPc mode the stop PC is a compile-time guard: no block is
-/// compiled at or across it and no chain targets it, so the boundary is
-/// always observed by the dispatcher.
+/// re-checks the budget), so hot loops never touch the dispatcher.  A
+/// run's stop PC is a compile-time guard: no block is compiled at or
+/// across it and no chain targets it, so the boundary is always
+/// observed by the dispatcher.
 ///
 /// Code buffers follow a W^X discipline: pages are writable during
 /// emission and patching, executable otherwise, never both.
@@ -89,7 +89,7 @@ enum class RefuseReason : uint8_t {
   None,            ///< not refused
   BlockTooLong,    ///< no terminator within MaxBlockInstrs
   EmptyBlock,      ///< the entry instruction itself cannot be compiled
-  StopPcGuard,     ///< the block starts at the active runUntilPc stop PC
+  StopPcGuard,     ///< the block starts at the active run's stop PC
   HostUnsupported, ///< no native execution on this host
 };
 

@@ -7,11 +7,11 @@
 ///
 /// \file
 /// The JIT ExecBackend: a dispatcher structured exactly like the
-/// predecoded interpreter loops of isa/Interp.cpp (budget first, then
+/// predecoded interpreter loop of isa/Interp.cpp (budget first, then
 /// the stop PC, PC validity, illegal, the halt self-jump), which runs
 /// hot compiled blocks natively and interprets everything else one step
-/// at a time.  Keeping the loop shape identical to isa::run/runUntilPc
-/// is what makes the backend's step counts, faults, and halt decisions
+/// at a time.  Keeping the loop shape identical to isa::run is what
+/// makes the backend's step counts, faults, and halt decisions
 /// bit-identical to the interpreter's.
 ///
 //===----------------------------------------------------------------------===//
@@ -85,83 +85,20 @@ public:
 
   const char *name() const override { return "jit"; }
 
-  StepResult step(MachineState &State, IsaEnv &Env) override {
-    PendingStore PS = pendingStore(State);
-    StepResult S = isa::step(State, Env, Cache);
-    CacheDirty = true;
-    if (S.ok())
-      commitPendingStore(PS);
-    return S;
-  }
-
-  HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env) override {
-    PendingStore PS = pendingStore(State);
-    HaltOrStep H = isa::stepUnlessHalted(State, Env, Cache);
-    CacheDirty = true;
-    if (!H.Halted && H.S.ok())
-      commitPendingStore(PS);
-    return H;
-  }
-
-  HaltOrStep stepUnlessHalted(MachineState &State, IsaEnv &Env,
-                              obs::Observer &Obs,
-                              uint64_t RetireIndex) override {
-    PendingStore PS = pendingStore(State);
-    HaltOrStep H =
-        isa::stepUnlessHalted(State, Env, Obs, RetireIndex, Cache);
-    CacheDirty = true;
-    if (!H.Halted && H.S.ok())
-      commitPendingStore(PS);
-    return H;
-  }
-
-  bool isHalted(const MachineState &State) override {
-    CacheDirty = true;
-    return isa::isHalted(State, Cache);
-  }
-
-  RunResult run(MachineState &State, IsaEnv &Env,
-                uint64_t MaxSteps) override {
-    if (!NativeOk) {
-      CacheDirty = true;
-      return isa::run(State, Env, MaxSteps, Cache);
-    }
-    DispatchOut O = dispatch(State, Env, MaxSteps, /*HasStop=*/false, 0);
-    RunResult R;
-    R.Steps = O.Steps;
-    R.Halted = O.Halted;
-    R.Fault = O.Fault;
-    return R;
-  }
-
   RunResult run(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-                ObsHooks &Hooks) override {
-    if (!Hooks.Obs)
-      return run(State, Env, MaxSteps);
-    // Observed runs are interpreter-exact by definition; the delegated
-    // run's stores bypass block invalidation and its decodes land on
-    // pages the guard map has never seen, so drop every block and
-    // re-derive the guard set before the next native burst.
-    RunResult R = isa::run(State, Env, MaxSteps, Hooks, Cache);
+                std::optional<Word> StopPc, ObsHooks *Hooks) override {
+    bool Observed = Hooks && Hooks->Obs;
+    if (NativeOk && !Observed)
+      return dispatch(State, Env, MaxSteps, StopPc.has_value(),
+                      StopPc.value_or(0));
+    // Observed runs are interpreter-exact by definition.  The delegated
+    // run's decodes land on pages the guard map has never seen, and its
+    // stores bypass block invalidation, so re-derive the guard set and
+    // drop every block before the next native burst.
+    RunResult R = isa::run(State, Env, MaxSteps, StopPc, Hooks, Cache);
     CacheDirty = true;
     if (NativeOk)
       flushBlocks();
-    return R;
-  }
-
-  RunStopResult runUntilPc(MachineState &State, IsaEnv &Env,
-                           uint64_t MaxSteps, Word StopPc) override {
-    if (!NativeOk) {
-      CacheDirty = true;
-      return isa::runUntilPc(State, Env, MaxSteps, StopPc, Cache);
-    }
-    DispatchOut O =
-        dispatch(State, Env, MaxSteps, /*HasStop=*/true, StopPc);
-    RunStopResult R;
-    R.Steps = O.Steps;
-    R.AtStopPc = O.AtStopPc;
-    R.Halted = O.Halted;
-    R.Fault = O.Fault;
     return R;
   }
 
@@ -205,12 +142,6 @@ private:
     uint8_t *InvalidStub = nullptr;
     bool Live = false;
   };
-  struct DispatchOut {
-    uint64_t Steps = 0;
-    bool AtStopPc = false;
-    bool Halted = false;
-    StepFault Fault = StepFault::None;
-  };
   struct PendingStore {
     Word Addr = 0;
     Word Size = 0;
@@ -238,8 +169,8 @@ private:
   /// cleared when the map is rebuilt wholesale.
   std::vector<uint8_t> GuardMap;
 
-  /// The runUntilPc stop PC the current block population was compiled
-  /// under; changing it flushes (blocks never straddle the stop PC).
+  /// The stop PC the current block population was compiled under;
+  /// changing it flushes (blocks never straddle the stop PC).
   bool HasStamp = false;
   bool StampHasStop = false;
   Word StampStopPc = 0;
@@ -248,9 +179,8 @@ private:
   const uint8_t *MemData = nullptr;
   size_t MemSize = 0;
 
-  /// Decode-cache entries were created outside the dispatcher (step
-  /// delegation, isHalted, observed runs); re-derive guard pages before
-  /// the next native burst.
+  /// Decode-cache entries were created outside the dispatcher (by an
+  /// observed run); re-derive guard pages before the next native burst.
   bool CacheDirty = false;
 
   void markGuardPage(Word Addr) { GuardMap[Addr >> GuardPageShift] = 1; }
@@ -326,16 +256,13 @@ private:
       Arena.endWrite();
   }
 
-  /// Pre-decodes the store the next delegated step would perform, so
-  /// its block invalidation can be applied after the step commits.
-  PendingStore pendingStore(MachineState &State) {
+  /// The store the next interpreted step, the already-decoded \p D at a
+  /// PC the dispatcher has validated, would perform, so its block
+  /// invalidation can be applied after the step commits.
+  PendingStore pendingStore(const MachineState &State,
+                            const DecodedInsn &D) {
     PendingStore P;
     if (Records.empty())
-      return P;
-    if (!State.inRange(State.PC, 4) || !isAligned(State.PC, 4))
-      return P;
-    const DecodedInsn &D = Cache.lookup(State, State.PC);
-    if (D.St != DecodedInsn::Decoded)
       return P;
     if (D.I.Op == Opcode::StoreMEM) {
       P.Addr = State.operandValue(D.I.B);
@@ -345,11 +272,6 @@ private:
       P.Size = 1;
     }
     return P;
-  }
-
-  void commitPendingStore(const PendingStore &P) {
-    if (P.Size)
-      invalidateBlocksOverlap(P.Addr, P.Size);
   }
 
   void prepareRun(MachineState &State, bool HasStop, Word StopPc) {
@@ -399,15 +321,15 @@ private:
   }
 
   /// One interpreted step at a PC the dispatcher has already validated
-  /// (in range, aligned, decodable, not the halt self-jump).  Mirrors
-  /// the loop bodies of isa::run/runUntilPc, plus the block-side half
-  /// of the store-invalidation contract.
-  bool interpretOne(MachineState &State, IsaEnv &Env, uint64_t &Remaining,
-                    DispatchOut &R) {
-    PendingStore PS = pendingStore(State);
-    StepResult S = isa::step(State, Env, Cache);
-    if (!S.ok()) {
-      R.Fault = S.Fault; // the faulting step is not counted
+  /// (in range, aligned, decodable, not the halt self-jump): the
+  /// predecoded run with budget 1, plus the block-side half of the
+  /// store-invalidation contract.
+  bool interpretOne(MachineState &State, IsaEnv &Env, const DecodedInsn &D,
+                    uint64_t &Remaining, RunResult &R) {
+    PendingStore PS = pendingStore(State, D);
+    RunResult One = isa::run(State, Env, 1, std::nullopt, nullptr, Cache);
+    if (One.Fault != StepFault::None) {
+      R.Fault = One.Fault; // the faulting step is not counted
       return false;
     }
     --Remaining;
@@ -477,14 +399,14 @@ private:
     ++Stats.BlocksCompiled;
   }
 
-  /// The dispatcher.  Structured exactly like isa::run (HasStop=false)
-  /// and isa::runUntilPc (HasStop=true): budget, stop PC, PC validity,
-  /// illegal word, halt self-jump — then either a native burst through
-  /// compiled blocks or one interpreted step.
-  DispatchOut dispatch(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
-                       bool HasStop, Word StopPc) {
+  /// The dispatcher.  Structured exactly like the predecoded isa::run:
+  /// budget, stop PC, PC validity, illegal word, halt self-jump — then
+  /// either a native burst through compiled blocks or one interpreted
+  /// step.
+  RunResult dispatch(MachineState &State, IsaEnv &Env, uint64_t MaxSteps,
+                     bool HasStop, Word StopPc) {
     prepareRun(State, HasStop, StopPc);
-    DispatchOut R;
+    RunResult R;
     uint64_t Remaining = MaxSteps;
     while (Remaining > 0) {
       if (HasStop && State.PC == StopPc) {
@@ -516,12 +438,13 @@ private:
         runNative(State, BE.Code, Remaining);
         if (Frame.ExitKind == ExitDeopt) {
           ++Stats.Deopts;
-          if (!interpretOne(State, Env, Remaining, R))
+          if (!interpretOne(State, Env, Cache.lookup(State, State.PC),
+                            Remaining, R))
             break;
         }
         continue;
       }
-      if (!interpretOne(State, Env, Remaining, R))
+      if (!interpretOne(State, Env, D, Remaining, R))
         break;
     }
     R.Steps = MaxSteps - Remaining;

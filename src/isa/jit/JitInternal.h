@@ -117,7 +117,7 @@ struct CompiledCode {
 
 /// Compiles the block entered at \p Entry.  Returns false with \p Why
 /// set when the block is refused.  \p HasGuardPc/\p GuardPc carry the
-/// active runUntilPc stop PC: no block is compiled at it, none crosses
+/// active run's stop PC: no block is compiled at it, none crosses
 /// it, and no chain slot targets it, so the dispatcher always observes
 /// the boundary.  The caller guarantees Entry holds a decodable,
 /// non-self-jump instruction and that memory is word-addressable.

@@ -95,54 +95,16 @@ bool MachineSem::oracleStep() {
   return true;
 }
 
-bool MachineSem::stepOnce() {
-  ++LastBehaviour.Steps;
-
-  if (State.PC == Layout.SyscallCodeBase)
-    return oracleStep();
-
-  isa::HaltOrStep R =
-      Obs ? Backend->stepUnlessHalted(State, isa::nullEnv(), *Obs,
-                                      RetireIndex++)
-          : Backend->stepUnlessHalted(State, isa::nullEnv());
-  if (R.Halted) {
-    // A direct halt without an exit call: report the recorded status
-    // (zero when no exit happened; hand-written programs use this).
-    sys::ExitStatus S = sys::readExitStatus(State, Layout);
-    LastBehaviour.Kind = BehaviourKind::Terminated;
-    LastBehaviour.ExitCode = S.Exited ? S.Code : 0;
-    return false;
-  }
-  if (!R.S.ok()) {
-    LastBehaviour.Kind = BehaviourKind::Failed;
-    LastBehaviour.Fault = R.S.Fault;
-    return false;
-  }
-  return true;
-}
-
 Behaviour MachineSem::run(uint64_t MaxSteps) {
   LastBehaviour = Behaviour();
-  if (Obs) {
-    while (LastBehaviour.Steps < MaxSteps) {
-      if (!stepOnce())
-        return LastBehaviour;
-    }
-    LastBehaviour.Kind = BehaviourKind::OutOfSteps;
-    return LastBehaviour;
-  }
-
-  // Uninstrumented: execute backend bursts that stop at the FFI entry,
-  // keeping the hot loop inside the backend's runUntilPc instead of
-  // paying a cross-call per instruction.  Step accounting matches the stepOnce
-  // loop exactly: an oracle consultation, the halt-detecting step, and a
-  // faulting attempt each cost one step, and none of them runs once the
-  // budget is exhausted.
+  // Backend bursts that stop at the FFI entry keep the hot loop inside
+  // the backend; the oracle runs only when the PC lands there.  An oracle
+  // consultation, the halt-detecting step and a faulting attempt each
+  // cost one step, and none of them runs once the budget is exhausted.
   while (true) {
-    isa::RunStopResult R =
-        Backend->runUntilPc(State, isa::nullEnv(),
-                            MaxSteps - LastBehaviour.Steps,
-                            Layout.SyscallCodeBase);
+    isa::RunResult R = Backend->run(State, isa::nullEnv(),
+                                    MaxSteps - LastBehaviour.Steps,
+                                    Layout.SyscallCodeBase, &Hooks);
     LastBehaviour.Steps += R.Steps;
     if (R.AtStopPc) {
       ++LastBehaviour.Steps;
@@ -151,6 +113,8 @@ Behaviour MachineSem::run(uint64_t MaxSteps) {
       continue;
     }
     if (R.Halted) {
+      // A direct halt without an exit call: report the recorded status
+      // (zero when no exit happened; hand-written programs use this).
       ++LastBehaviour.Steps;
       sys::ExitStatus S = sys::readExitStatus(State, Layout);
       LastBehaviour.Kind = BehaviourKind::Terminated;

@@ -113,15 +113,11 @@ public:
   /// Runs for at most \p MaxSteps ISA steps (oracle steps count as one).
   Behaviour run(uint64_t MaxSteps);
 
-  /// Performs exactly one step (ISA or oracle).  Returns false when the
-  /// program has terminated or faulted; details land in LastBehaviour.
-  bool stepOnce();
-
   /// Streams retire/memory events for every ISA step and an FFI span for
   /// every oracle consultation to \p O (null detaches; not owned).  The
   /// uninstrumented path is unchanged.
   void attachObserver(obs::Observer *O) {
-    Obs = O;
+    Hooks.Obs = O;
     Ffi.attachObserver(O);
   }
 
@@ -130,16 +126,17 @@ public:
   Behaviour LastBehaviour;
 
 private:
-  /// The oracle-consultation arm of stepOnce (PC at the FFI entry):
-  /// validates the call registers, runs the interference oracle, applies
-  /// ffi_interfer.  Returns false on Failed/Terminated.
+  /// The oracle step (PC at the FFI entry): validates the call
+  /// registers, runs the interference oracle, applies ffi_interfer.
+  /// Returns false on Failed/Terminated.
   bool oracleStep();
 
   isa::MachineState State;
   ffi::BasisFfi Ffi;
   sys::MemoryLayout Layout;
-  obs::Observer *Obs = nullptr;
-  uint64_t RetireIndex = 0;
+  /// The attached observer and the retire index the next ISA step
+  /// carries (oracle steps retire nothing).
+  isa::ObsHooks Hooks;
   /// The ISA execution backend; owns all derived execution state
   /// (decode cache, compiled blocks) and is kept valid across
   /// interpreter stores and oracle interference writes.

@@ -88,7 +88,7 @@ struct ServiceOptions {
   /// a record, and construction replays an existing file: queued and
   /// paused jobs from a killed process are re-admitted, paused ones
   /// tagged for deterministic replay to their journaled StateDigest.
-  std::string JournalPath;
+  std::string JournalPath = {};
   /// fdatasync the journal after every append — survive machine crashes,
   /// not just process kills.  Off by default (a SIGKILLed process's
   /// completed write()s already survive in the page cache).

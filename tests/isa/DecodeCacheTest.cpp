@@ -127,8 +127,8 @@ TEST(DecodeCache, InvalidateAllForgetsEverything) {
 }
 
 TEST(CachedInterp, SelfModifyingLoopMatchesReference) {
-  // Lock-step: the cached interpreter against the reference
-  // fetch-decode-execute loop, one instruction at a time.
+  // Lock-step: the predecoded run, one instruction at a time (budget 1),
+  // against the reference fetch-decode-execute step.
   MachineState Cached = makeMachine(selfModifyingLoop());
   MachineState Ref = Cached;
   DecodeCache C;
@@ -136,7 +136,8 @@ TEST(CachedInterp, SelfModifyingLoopMatchesReference) {
   for (int Step = 0; Step != 64; ++Step) {
     if (isHalted(Ref))
       break;
-    ASSERT_TRUE(step(Cached, nullEnv(), C).ok()) << "step " << Step;
+    RunResult One = run(Cached, nullEnv(), 1, std::nullopt, nullptr, C);
+    ASSERT_EQ(One.Steps, 1u) << "step " << Step;
     ASSERT_TRUE(step(Ref, nullEnv()).ok()) << "step " << Step;
     ASSERT_EQ(Cached.PC, Ref.PC) << "step " << Step;
     ASSERT_EQ(Cached.Regs, Ref.Regs) << "step " << Step;
@@ -150,7 +151,7 @@ TEST(CachedInterp, SelfModifyingLoopMatchesReference) {
 TEST(CachedInterp, CachedRunExecutesPatchedCode) {
   MachineState S = makeMachine(selfModifyingLoop());
   DecodeCache C;
-  RunResult R = run(S, nullEnv(), 1000, C);
+  RunResult R = run(S, nullEnv(), 1000, std::nullopt, nullptr, C);
   EXPECT_TRUE(R.Halted);
   EXPECT_EQ(R.Fault, StepFault::None);
   EXPECT_EQ(S.Regs[2], 5u);
@@ -169,7 +170,7 @@ TEST(CachedInterp, RunUntilPcStopsBeforeExecutingTheStopInstruction) {
        Instruction::halt()});
   DecodeCache C;
 
-  RunStopResult R = runUntilPc(S, nullEnv(), 1000, /*StopPc=*/8, C);
+  RunResult R = run(S, nullEnv(), 1000, /*StopPc=*/8, nullptr, C);
   EXPECT_TRUE(R.AtStopPc);
   EXPECT_FALSE(R.Halted);
   EXPECT_EQ(R.Steps, 2u);
@@ -177,7 +178,7 @@ TEST(CachedInterp, RunUntilPcStopsBeforeExecutingTheStopInstruction) {
   EXPECT_EQ(S.Regs[3], 0u); // the stop instruction itself did not run
 
   // Resuming with an unreachable stop pc runs to the halt self-loop.
-  R = runUntilPc(S, nullEnv(), 1000, /*StopPc=*/0x400, C);
+  R = run(S, nullEnv(), 1000, /*StopPc=*/0x400, nullptr, C);
   EXPECT_TRUE(R.Halted);
   EXPECT_FALSE(R.AtStopPc);
   EXPECT_EQ(R.Steps, 1u);
@@ -185,7 +186,7 @@ TEST(CachedInterp, RunUntilPcStopsBeforeExecutingTheStopInstruction) {
 
   // An exhausted budget reports neither flag and no fault.
   MachineState S2 = makeMachine({addImm(1, 0, 1), Instruction::halt()});
-  R = runUntilPc(S2, nullEnv(), 0, /*StopPc=*/0x400, C);
+  R = run(S2, nullEnv(), 0, /*StopPc=*/0x400, nullptr, C);
   EXPECT_FALSE(R.AtStopPc);
   EXPECT_FALSE(R.Halted);
   EXPECT_EQ(R.Steps, 0u);
@@ -193,10 +194,9 @@ TEST(CachedInterp, RunUntilPcStopsBeforeExecutingTheStopInstruction) {
 }
 
 TEST(SelfModifying, IsaAgreesWithRtlCore) {
-  // The end-to-end invalidation check: the predecoded ISA side of
-  // checkIsaRtl against the circuit-level core, which fetches every
-  // instruction from memory afresh.  A stale decode would diverge at
-  // the first post-patch retire.
+  // Self-modifying code through theorem (9)'s lock-step check: the
+  // reference ISA against the circuit-level core, which fetches every
+  // instruction from memory afresh, retire by retire.
   MachineState Init = makeMachine(selfModifyingLoop());
   cpu::RunOptions Options;
   Options.MaxCycles = 100'000;

@@ -5,8 +5,8 @@
 // and memory after any budgeted run.  These tests hold the JIT against
 // the interpreter backend across the ALU/shift/memory matrix, the
 // DecodeCacheTest self-modifying corpus (store invalidation), external
-// (oracle-style) invalidation, exact budget accounting, and the
-// runUntilPc stop-PC contract.  On hosts without native support the
+// (oracle-style) invalidation, exact budget accounting, and the stop-PC
+// contract of run().  On hosts without native support the
 // backend degrades to interpretation and every test still passes.
 //
 //===----------------------------------------------------------------------===//
@@ -429,8 +429,8 @@ TEST(JitBackend, RunUntilPcHonorsStopBoundary) {
 
   uint64_t JSteps = 0, RSteps = 0;
   for (int Round = 0; Round != 200; ++Round) {
-    RunStopResult Jr = JB->runUntilPc(J, nullEnv(), 7, 20);
-    RunStopResult Rr = IB->runUntilPc(R, nullEnv(), 7, 20);
+    RunResult Jr = JB->run(J, nullEnv(), 7, /*StopPc=*/20);
+    RunResult Rr = IB->run(R, nullEnv(), 7, /*StopPc=*/20);
     ASSERT_EQ(Jr.Steps, Rr.Steps) << "round " << Round;
     ASSERT_EQ(Jr.AtStopPc, Rr.AtStopPc) << "round " << Round;
     ASSERT_EQ(Jr.Halted, Rr.Halted) << "round " << Round;
@@ -446,8 +446,8 @@ TEST(JitBackend, RunUntilPcHonorsStopBoundary) {
   EXPECT_EQ(J.Regs[1], 0u);
 
   // Changing the stop PC mid-session (prepare-state restamp) stays exact.
-  RunStopResult Jr = JB->runUntilPc(J, nullEnv(), 100, 0);
-  RunStopResult Rr = IB->runUntilPc(R, nullEnv(), 100, 0);
+  RunResult Jr = JB->run(J, nullEnv(), 100, /*StopPc=*/0);
+  RunResult Rr = IB->run(R, nullEnv(), 100, /*StopPc=*/0);
   EXPECT_EQ(Jr.Steps, Rr.Steps);
   EXPECT_EQ(Jr.Halted, Rr.Halted);
   EXPECT_EQ(J.Regs, R.Regs);

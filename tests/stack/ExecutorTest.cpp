@@ -34,8 +34,9 @@ void expectSameObserved(const Observed &A, const Observed &B,
   EXPECT_EQ(A.StderrData, B.StderrData);
   EXPECT_EQ(A.ExitCode, B.ExitCode);
   EXPECT_EQ(A.Terminated, B.Terminated);
-  if (CompareInstructions)
+  if (CompareInstructions) {
     EXPECT_EQ(A.Instructions, B.Instructions);
+  }
 }
 
 // Runs Spec at Isa and Rtl with a TraceSink each and requires the
@@ -100,37 +101,76 @@ TEST(Executor, RetireStreamEqualSort) {
   expectRetireStreamsEqual(Spec);
 }
 
-TEST(Executor, NullObserverIsBehaviourNeutral) {
-  // The zero-cost-when-null claim, behavioural half: an Executor with no
-  // observer must produce exactly the Observed of an instrumented run.
-  Result<Executor> ExecOr = Executor::create(helloSpec());
-  ASSERT_TRUE(ExecOr) << ExecOr.error().str();
-  Executor Exec = ExecOr.take();
+/// One begin/step/finish session of \p Exec at \p L with \p Obs
+/// attached (null for none); \p Digest receives the final StateDigest.
+Result<Outcome> runSession(Executor &Exec, Level L, obs::Observer *Obs,
+                           StateDigest &Digest) {
+  Exec.attach(Obs);
+  Result<Outcome> Out = [&]() -> Result<Outcome> {
+    if (Result<void> B = Exec.begin(L); !B)
+      return B.error();
+    if (Result<RunStatus> S = Exec.step(UINT64_MAX); !S)
+      return S.error();
+    Result<StateDigest> D = Exec.sessionState();
+    if (!D)
+      return D.error();
+    Digest = *D;
+    return Exec.finish();
+  }();
+  Exec.attach(nullptr);
+  return Out;
+}
 
-  for (Level L : {Level::Machine, Level::Isa, Level::Rtl}) {
-    Result<Outcome> Null = Exec.run(L);
+TEST(Executor, NullObserverIsBehaviourNeutral) {
+  // The zero-cost-when-null claim, behavioural half: a session with no
+  // observer must produce exactly the Observed and the final state of an
+  // instrumented one.  The JIT backend runs native code unobserved and
+  // interprets observed runs, so it is checked at both ISA levels.
+  struct Case {
+    BackendKind Backend;
+    Level L;
+  };
+  for (Case C : {Case{BackendKind::Interp, Level::Machine},
+                 Case{BackendKind::Interp, Level::Isa},
+                 Case{BackendKind::Interp, Level::Rtl},
+                 Case{BackendKind::Jit, Level::Machine},
+                 Case{BackendKind::Jit, Level::Isa}}) {
+    SCOPED_TRACE(std::string(backendKindName(C.Backend)) + " at " +
+                 levelName(C.L));
+    RunSpec Spec = helloSpec();
+    Spec.Exec.Backend = C.Backend;
+    Spec.Exec.JitHotThreshold = 1; // the null run executes compiled blocks
+    Result<Executor> ExecOr = Executor::create(Spec);
+    ASSERT_TRUE(ExecOr) << ExecOr.error().str();
+    Executor Exec = ExecOr.take();
+
+    StateDigest NullDigest, ObservedDigest;
+    Result<Outcome> Null = runSession(Exec, C.L, nullptr, NullDigest);
     ASSERT_TRUE(Null) << Null.error().str();
+    ASSERT_EQ(Null->Status, RunStatus::Completed);
 
     obs::Counters Counters(Exec.regionMap().take(), Executor::ffiNames());
-    Exec.attach(&Counters);
-    Result<Outcome> Observed = Exec.run(L);
-    Exec.attach(nullptr);
+    Result<Outcome> Observed =
+        runSession(Exec, C.L, &Counters, ObservedDigest);
     ASSERT_TRUE(Observed) << Observed.error().str();
 
     expectSameObserved(Null->Behaviour, Observed->Behaviour);
     EXPECT_EQ(Null->Behaviour.Cycles, Observed->Behaviour.Cycles);
+    EXPECT_TRUE(NullDigest == ObservedDigest);
     // The counters agree with the Observed the API reports.  At the
     // machine level FFI calls are oracle steps, not retirements, so the
     // retire count plus the call count makes up the step count.
     uint64_t FfiCalls = 0;
-    for (const obs::Counters::FfiCost &C : Counters.Ffi)
-      FfiCalls += C.Calls;
-    if (L == Level::Machine)
+    for (const obs::Counters::FfiCost &Cost : Counters.Ffi)
+      FfiCalls += Cost.Calls;
+    if (C.L == Level::Machine) {
       EXPECT_EQ(Counters.Retired + FfiCalls,
                 Observed->Behaviour.Instructions);
-    else
+    } else {
       EXPECT_EQ(Counters.Retired, Observed->Behaviour.Instructions);
+    }
     EXPECT_EQ(Counters.Cycles, Observed->Behaviour.Cycles);
+    EXPECT_GT(Counters.Retired, 0u);
   }
 }
 
@@ -361,17 +401,7 @@ TEST(Executor, CompiledHdlBackendMatchesInterpreterAtVerilog) {
     if (!ExecOr)
       return ExecOr.error();
     Executor Exec = ExecOr.take();
-    Exec.attach(&Sink);
-    if (Result<void> B = Exec.begin(Level::Verilog); !B)
-      return B.error();
-    Result<RunStatus> S = Exec.step(UINT64_MAX);
-    if (!S)
-      return S.error();
-    Result<StateDigest> D = Exec.sessionState();
-    if (!D)
-      return D.error();
-    Digest = *D;
-    return Exec.finish();
+    return runSession(Exec, Level::Verilog, &Sink, Digest);
   };
 
   obs::TraceSink InterpSink, CompiledSink;
