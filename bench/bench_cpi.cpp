@@ -46,7 +46,7 @@ void measureCpi(benchmark::State &State,
 
   sys::MemoryImage Image;
   Image.Layout.Params.MemSize = 1 << 16;
-  Image.Memory.assign(1 << 16, 0);
+  Image.Memory = isa::GuestMemory(1 << 16);
   std::copy(Prog->Bytes.begin(), Prog->Bytes.end(), Image.Memory.begin());
 
   cpu::RunOptions Options;

@@ -272,7 +272,7 @@ int main(int Argc, char **Argv) {
     if (!Image)
       return fail(Image.error().str());
     for (analysis::Diagnostic &D : analysis::jitBailoutDiagnostics(
-             Summary, sys::initialState(*Image)))
+             Summary, sys::initialState(Image.take())))
       Diags.push_back(std::move(D));
 
     if (Json) {
@@ -393,8 +393,23 @@ int main(int Argc, char **Argv) {
     return fail("program did not terminate within the step budget");
   std::fwrite(R.StdoutData.data(), 1, R.StdoutData.size(), stdout);
   std::fwrite(R.StderrData.data(), 1, R.StderrData.size(), stderr);
-  std::fprintf(stderr, "silverc: [%s] %llu instructions",
-               stack::levelName(L), (unsigned long long)R.Instructions);
+  if (L == stack::Level::Machine) {
+    // machine-sem counts steps: an FFI call is one oracle step, not a
+    // retirement, so the counters' retire count is the smaller number.
+    std::fprintf(stderr, "silverc: [%s] %llu steps", stack::levelName(L),
+                 (unsigned long long)R.Instructions);
+    if (ShowCounters) {
+      uint64_t FfiCalls = 0;
+      for (const obs::Counters::FfiCost &Cost : Counters.Ffi)
+        FfiCalls += Cost.Calls;
+      std::fprintf(stderr, " (%llu retired, %llu FFI calls)",
+                   (unsigned long long)Counters.Retired,
+                   (unsigned long long)FfiCalls);
+    }
+  } else {
+    std::fprintf(stderr, "silverc: [%s] %llu instructions",
+                 stack::levelName(L), (unsigned long long)R.Instructions);
+  }
   if (R.Cycles)
     std::fprintf(stderr, ", %llu cycles", (unsigned long long)R.Cycles);
   std::fprintf(stderr, ", exit %d\n", R.ExitCode);

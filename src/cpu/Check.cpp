@@ -31,17 +31,17 @@ static Result<std::unique_ptr<CoreSim>> makeSim(const SilverCore &Core,
 // CoreRunner
 //===----------------------------------------------------------------------===//
 
-CoreRunner::CoreRunner(const sys::MemoryImage &Image,
-                       const RunOptions &Options)
-    : Core(buildSilverCore()), Env(Image.Memory, Image.Layout, Options.Env),
+CoreRunner::CoreRunner(sys::MemoryImage Image, const RunOptions &Options)
+    : Core(buildSilverCore()),
+      Env(std::move(Image.Memory), Image.Layout, Options.Env),
       Layout(Image.Layout), Opt(Options) {}
 
 CoreRunner::~CoreRunner() = default;
 
 Result<std::unique_ptr<CoreRunner>>
-CoreRunner::create(const sys::MemoryImage &Image, const RunOptions &Options) {
+CoreRunner::create(sys::MemoryImage Image, const RunOptions &Options) {
   // Heap-allocate first: the simulator keeps a reference to this->Core.
-  std::unique_ptr<CoreRunner> R(new CoreRunner(Image, Options));
+  std::unique_ptr<CoreRunner> R(new CoreRunner(std::move(Image), Options));
   if (Result<void> V = R->Core.Circuit.validate(); !V)
     return V.error();
   Result<std::unique_ptr<CoreSim>> SimOr = makeSim(R->Core, Options);
@@ -113,7 +113,7 @@ Result<CoreStop> CoreRunner::advance(uint64_t MaxInstructions,
       obs::RetireEvent Ev;
       Ev.Pc = RetirePc;
       Ev.Index = Instructions;
-      const std::vector<uint8_t> &M = Env.memory();
+      const isa::GuestMemory &M = Env.memory();
       if (RetirePc + 4 <= M.size()) {
         Word W = static_cast<Word>(M[RetirePc]) |
                  static_cast<Word>(M[RetirePc + 1]) << 8 |
@@ -155,7 +155,7 @@ Result<CoreStop> CoreRunner::advance(uint64_t MaxInstructions,
 
 ArchState CoreRunner::archState() const { return Sim->archState(); }
 
-const std::vector<uint8_t> &CoreRunner::memory() const {
+const isa::GuestMemory &CoreRunner::memory() const {
   return Env.memory();
 }
 
@@ -166,17 +166,14 @@ CoreRunResult CoreRunner::result() const {
   R.Instructions = Instructions;
   R.StdoutData = Env.collectedStdout();
   R.StderrData = Env.collectedStderr();
-  R.FinalMemory = Env.memory();
-  isa::MachineState Tmp(R.FinalMemory.size());
-  Tmp.Memory = R.FinalMemory;
-  R.Exit = sys::readExitStatus(Tmp, Layout);
+  R.Exit = sys::readExitStatus(Env.memory(), Layout);
   return R;
 }
 
-Result<CoreRunResult> silver::cpu::runCore(const sys::MemoryImage &Image,
+Result<CoreRunResult> silver::cpu::runCore(sys::MemoryImage Image,
                                            const RunOptions &Options) {
   Result<std::unique_ptr<CoreRunner>> RunnerOr =
-      CoreRunner::create(Image, Options);
+      CoreRunner::create(std::move(Image), Options);
   if (!RunnerOr)
     return RunnerOr.error();
   CoreRunner &Runner = **RunnerOr;

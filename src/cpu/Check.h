@@ -64,7 +64,6 @@ struct CoreRunResult {
   std::string StdoutData;
   std::string StderrData;
   sys::ExitStatus Exit;
-  std::vector<uint8_t> FinalMemory;
 };
 
 /// Why an advance() call returned.
@@ -89,10 +88,12 @@ enum class CoreStop : uint8_t {
 class CoreRunner {
 public:
   /// Builds the core, validates it, and wires up the simulator, the lab
-  /// environment, and the observer.  The runner is heap-allocated and
-  /// pinned because the simulator keeps a reference to the core.
+  /// environment, and the observer.  The image's memory becomes the lab
+  /// DRAM (moved in, not copied, when \p Image is an rvalue).  The runner
+  /// is heap-allocated and pinned because the simulator keeps a reference
+  /// to the core.
   static Result<std::unique_ptr<CoreRunner>>
-  create(const sys::MemoryImage &Image, const RunOptions &Options);
+  create(sys::MemoryImage Image, const RunOptions &Options);
   ~CoreRunner();
 
   CoreRunner(const CoreRunner &) = delete;
@@ -114,14 +115,14 @@ public:
   ArchState archState() const;
   /// The lab DRAM contents (same address space as the ISA state's
   /// memory, so final memories are directly comparable across levels).
-  const std::vector<uint8_t> &memory() const;
+  const isa::GuestMemory &memory() const;
 
   /// Snapshots the observable behaviour so far (stdout, stderr, exit
-  /// status, final memory).
+  /// status); the final memory stays readable through memory().
   CoreRunResult result() const;
 
 private:
-  CoreRunner(const sys::MemoryImage &Image, const RunOptions &Options);
+  CoreRunner(sys::MemoryImage Image, const RunOptions &Options);
 
   SilverCore Core;
   std::unique_ptr<CoreSim> Sim;
@@ -141,7 +142,7 @@ private:
 /// Runs a bootable image on the Silver core until the halt self-loop is
 /// first executed, the cycle budget runs out, or the environment reports
 /// a protocol violation.
-Result<CoreRunResult> runCore(const sys::MemoryImage &Image,
+Result<CoreRunResult> runCore(sys::MemoryImage Image,
                               const RunOptions &Options);
 
 /// Lock-step ISA/implementation check from an arbitrary initial machine

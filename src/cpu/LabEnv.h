@@ -39,7 +39,7 @@ struct LabEnvOptions {
 
 class LabEnv {
 public:
-  LabEnv(std::vector<uint8_t> Memory, sys::MemoryLayout Layout,
+  LabEnv(isa::GuestMemory Memory, sys::MemoryLayout Layout,
          LabEnvOptions Options = {})
       : Memory(std::move(Memory)), Layout(std::move(Layout)), Opt(Options) {}
 
@@ -52,13 +52,13 @@ public:
   /// access, out-of-range address).
   Result<void> observeOutputs(const CoreOutputs &Out);
 
-  const std::vector<uint8_t> &memory() const { return Memory; }
+  const isa::GuestMemory &memory() const { return Memory; }
   const std::string &collectedStdout() const { return Stdout; }
   const std::string &collectedStderr() const { return Stderr; }
   uint64_t interruptCount() const { return Interrupts; }
 
 private:
-  std::vector<uint8_t> Memory;
+  isa::GuestMemory Memory;
   sys::MemoryLayout Layout;
   LabEnvOptions Opt;
   uint64_t Cycle = 0;

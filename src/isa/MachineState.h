@@ -9,15 +9,17 @@
 /// The Silver ISA machine state (paper §4.1): memory (bytes), a 64-entry
 /// register file, the program counter, carry and overflow flags, and a
 /// trace of IO events.  The paper models memory as a total function from
-/// addresses to bytes; we use a flat byte array of configurable size and
-/// treat out-of-range accesses as errors (the machine-sem layer turns
-/// these into Fail behaviours, which compiled programs never exhibit).
+/// addresses to bytes; we use a flat byte array of configurable size
+/// (a demand-zero GuestMemory) and treat out-of-range accesses as errors
+/// (the machine-sem layer turns these into Fail behaviours, which
+/// compiled programs never exhibit).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SILVER_ISA_MACHINESTATE_H
 #define SILVER_ISA_MACHINESTATE_H
 
+#include "isa/GuestMemory.h"
 #include "isa/Instruction.h"
 #include "support/Bits.h"
 
@@ -47,7 +49,7 @@ public:
   /// Creates a state with \p MemBytes bytes of zeroed memory, all
   /// registers zero, PC zero, and clear flags.
   explicit MachineState(size_t MemBytes = DefaultMemBytes)
-      : Memory(MemBytes, 0) {
+      : Memory(MemBytes) {
     Regs.fill(0);
   }
 
@@ -59,7 +61,7 @@ public:
   Word PC = 0;
   bool CarryFlag = false;
   bool OverflowFlag = false;
-  std::vector<uint8_t> Memory;
+  GuestMemory Memory;
   std::vector<IoEvent> IoEvents;
   /// Last value written by an Out instruction (the data-out port).
   Word DataOut = 0;

@@ -123,7 +123,7 @@ silver::machine::checkInterferenceImpl(const MachineState &AtEntry,
     return Error("interference check (" + Name + "): stderr mismatch");
 
   if (IsExit) {
-    sys::ExitStatus S = sys::readExitStatus(Impl, Layout);
+    sys::ExitStatus S = sys::readExitStatus(Impl.Memory, Layout);
     if (!S.Exited || S.Code != R.ExitCode)
       return Error("interference check: exit status not recorded");
   }

@@ -116,7 +116,7 @@ Behaviour MachineSem::run(uint64_t MaxSteps) {
       // A direct halt without an exit call: report the recorded status
       // (zero when no exit happened; hand-written programs use this).
       ++LastBehaviour.Steps;
-      sys::ExitStatus S = sys::readExitStatus(State, Layout);
+      sys::ExitStatus S = sys::readExitStatus(State.Memory, Layout);
       LastBehaviour.Kind = BehaviourKind::Terminated;
       LastBehaviour.ExitCode = S.Exited ? S.Code : 0;
       return LastBehaviour;

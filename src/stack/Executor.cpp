@@ -110,13 +110,13 @@ struct IsaSession final : Executor::SessionBase {
   bool Halted = false;
 
   IsaSession(sys::BootResult B, const ExecOptions &E, obs::Observer *Obs)
-      : Boot(std::move(B)), Env(Boot.Image.Layout),
+      : Boot(std::move(B)), Env(Boot.Layout),
         Backend(makeSessionBackend(E)) {
     Hooks.Obs = Obs;
     Hooks.RetireIndexBase = Boot.StartupSteps;
-    Hooks.FfiEntryPc = Boot.Image.Layout.SyscallCodeBase;
-    Hooks.FfiRegionBegin = Boot.Image.Layout.SyscallCodeBase;
-    Hooks.FfiRegionEnd = Boot.Image.Layout.HeapBase;
+    Hooks.FfiEntryPc = Boot.Layout.SyscallCodeBase;
+    Hooks.FfiRegionBegin = Boot.Layout.SyscallCodeBase;
+    Hooks.FfiRegionEnd = Boot.Layout.HeapBase;
   }
 
   Result<RunStatus> step(uint64_t MaxInstructions) override {
@@ -144,7 +144,7 @@ struct IsaSession final : Executor::SessionBase {
     O.Instructions = Steps + Boot.StartupSteps;
     O.StdoutData = Env.collectedStdout();
     O.StderrData = Env.collectedStderr();
-    sys::ExitStatus S = sys::readExitStatus(Boot.State, Boot.Image.Layout);
+    sys::ExitStatus S = sys::readExitStatus(Boot.State.Memory, Boot.Layout);
     O.ExitCode = S.Exited ? S.Code : 0;
     return O;
   }
@@ -166,7 +166,7 @@ struct MachineSession final : Executor::SessionBase {
       : Sem(std::move(B.State),
             ffi::BasisFfi(Spec.CommandLine,
                           ffi::Filesystem::withStdin(Spec.StdinData)),
-            B.Image.Layout, makeSessionBackend(Spec.Exec)) {
+            B.Layout, makeSessionBackend(Spec.Exec)) {
     if (Obs)
       Sem.attachObserver(Obs);
   }
@@ -262,7 +262,7 @@ struct RtlSession final : Executor::SessionBase {
     D.Carry = A.Carry;
     D.Overflow = A.Overflow;
     D.Regs = A.Regs;
-    const std::vector<uint8_t> &M = Runner->memory();
+    const isa::GuestMemory &M = Runner->memory();
     D.MemoryHash = fnv1a64(M.data(), M.size());
     D.MemoryBytes = M.size();
     return D;
@@ -373,7 +373,7 @@ Result<void> Executor::begin(Level L) {
     Options.CompiledVerilog = L == Level::Verilog &&
                               Spec.Exec.Hdl == HdlBackendKind::Compiled;
     Result<std::unique_ptr<cpu::CoreRunner>> Runner =
-        cpu::CoreRunner::create(*Image, Options);
+        cpu::CoreRunner::create(Image.take(), Options);
     if (!Runner)
       return Fail(Runner.error());
     Session = std::make_unique<RtlSession>(Runner.take(), Cycles);

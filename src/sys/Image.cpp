@@ -25,14 +25,14 @@ static std::string joinCommandLine(const std::vector<std::string> &Args) {
   return Joined;
 }
 
-static void writeWordTo(std::vector<uint8_t> &Mem, Word Addr, Word Value) {
+static void writeWordTo(isa::GuestMemory &Mem, Word Addr, Word Value) {
   Mem[Addr] = static_cast<uint8_t>(Value);
   Mem[Addr + 1] = static_cast<uint8_t>(Value >> 8);
   Mem[Addr + 2] = static_cast<uint8_t>(Value >> 16);
   Mem[Addr + 3] = static_cast<uint8_t>(Value >> 24);
 }
 
-static Word readWordFrom(const std::vector<uint8_t> &Mem, Word Addr) {
+static Word readWordFrom(const isa::GuestMemory &Mem, Word Addr) {
   return static_cast<Word>(Mem[Addr]) |
          (static_cast<Word>(Mem[Addr + 1]) << 8) |
          (static_cast<Word>(Mem[Addr + 2]) << 16) |
@@ -60,7 +60,7 @@ Result<MemoryImage> silver::sys::buildImage(const ImageSpec &Spec) {
 
   MemoryImage Image;
   Image.Layout = L;
-  Image.Memory.assign(Spec.Params.MemSize, 0);
+  Image.Memory = isa::GuestMemory(Spec.Params.MemSize);
 
   // Startup code.
   std::copy(Startup->Bytes.begin(), Startup->Bytes.end(),
@@ -99,23 +99,23 @@ Result<MemoryImage> silver::sys::buildImage(const ImageSpec &Spec) {
   return Image;
 }
 
-isa::MachineState silver::sys::initialState(const MemoryImage &Image) {
-  isa::MachineState State(Image.Memory.size());
-  State.Memory = Image.Memory;
+isa::MachineState silver::sys::initialState(MemoryImage Image) {
+  isa::MachineState State(0);
+  State.Memory = std::move(Image.Memory);
   State.PC = Image.Layout.StartupBase;
   return State;
 }
 
-ExitStatus silver::sys::readExitStatus(const isa::MachineState &State,
+ExitStatus silver::sys::readExitStatus(const isa::GuestMemory &Memory,
                                        const MemoryLayout &Layout) {
   ExitStatus S;
-  S.Exited = State.readWord(Layout.ExitFlagAddr) != 0;
-  S.Code = static_cast<uint8_t>(State.readWord(Layout.ExitCodeAddr));
+  S.Exited = readWordFrom(Memory, Layout.ExitFlagAddr) != 0;
+  S.Code = static_cast<uint8_t>(readWordFrom(Memory, Layout.ExitCodeAddr));
   return S;
 }
 
 std::vector<uint8_t>
-silver::sys::interruptObservable(const std::vector<uint8_t> &Memory,
+silver::sys::interruptObservable(const isa::GuestMemory &Memory,
                                  const MemoryLayout &Layout,
                                  std::string &StdoutData,
                                  std::string &StderrData) {
@@ -141,10 +141,8 @@ std::vector<uint8_t> SysEnv::onInterrupt(isa::MachineState &State) {
 }
 
 Result<void> silver::sys::validateInstalled(const isa::MachineState &State,
-                                            const MemoryImage &Image,
+                                            const MemoryLayout &L,
                                             const ImageSpec &Spec) {
-  const MemoryLayout &L = Image.Layout;
-
   // (i) Registers 1-4 provide accurate memory information.
   if (State.Regs[abi::MemStartReg] != L.HeapBase)
     return Error("installed: r1 does not hold the usable-memory start");
@@ -204,12 +202,13 @@ Result<BootResult> silver::sys::boot(const ImageSpec &Spec,
   if (!Image)
     return Image.error();
 
-  BootResult Out{Image.take(), isa::MachineState(0), 0};
-  Out.State = initialState(Out.Image);
+  BootResult Out;
+  Out.Layout = Image->Layout;
+  Out.State = initialState(Image.take());
 
   // Run the startup prefix: Next^k until the PC reaches the program.
   const uint64_t StartupBudget = 64;
-  while (Out.State.PC != Out.Image.Layout.CodeBase) {
+  while (Out.State.PC != Out.Layout.CodeBase) {
     if (Out.StartupSteps >= StartupBudget)
       return Error("startup code did not reach the program entry");
     isa::StepResult S =
@@ -220,7 +219,7 @@ Result<BootResult> silver::sys::boot(const ImageSpec &Spec,
     ++Out.StartupSteps;
   }
 
-  if (Result<void> V = validateInstalled(Out.State, Out.Image, Spec); !V)
+  if (Result<void> V = validateInstalled(Out.State, Out.Layout, Spec); !V)
     return V.error();
   return Out;
 }

@@ -36,10 +36,11 @@ struct ImageSpec {
   LayoutParams Params;
 };
 
-/// A built image: the full memory contents plus its layout.
+/// A built image: the full memory contents plus its layout.  Only the
+/// written regions are ever touched; the rest stays demand-zero.
 struct MemoryImage {
   MemoryLayout Layout;
-  std::vector<uint8_t> Memory;
+  isa::GuestMemory Memory;
 };
 
 /// Builds the image: startup code, descriptor table, command-line region,
@@ -49,15 +50,17 @@ struct MemoryImage {
 Result<MemoryImage> buildImage(const ImageSpec &Spec);
 
 /// The paper's init assumption (theorem (5)): a machine state with the
-/// image in memory, PC at the startup code, everything else clear.
-isa::MachineState initialState(const MemoryImage &Image);
+/// image in memory, PC at the startup code, everything else clear.  The
+/// image's memory becomes the state's: pass an rvalue to install it in
+/// place, an lvalue to install a copy.
+isa::MachineState initialState(MemoryImage Image);
 
 /// Exit status recorded by the "exit" system call.
 struct ExitStatus {
   bool Exited = false;
   uint8_t Code = 0;
 };
-ExitStatus readExitStatus(const isa::MachineState &State,
+ExitStatus readExitStatus(const isa::GuestMemory &Memory,
                           const MemoryLayout &Layout);
 
 /// The observable action of one Interrupt notification against a raw
@@ -65,7 +68,7 @@ ExitStatus readExitStatus(const isa::MachineState &State,
 /// \p StdoutData / \p StderrData, and returns the observable bytes for
 /// the IO-event trace.  Shared by the ISA-level SysEnv and the RTL-level
 /// LabEnv so both layers expose identical behaviour.
-std::vector<uint8_t> interruptObservable(const std::vector<uint8_t> &Memory,
+std::vector<uint8_t> interruptObservable(const isa::GuestMemory &Memory,
                                          const MemoryLayout &Layout,
                                          std::string &StdoutData,
                                          std::string &StderrData);
@@ -98,15 +101,16 @@ private:
 /// within its capacity.  Point (v) — system calls behave as modelled —
 /// is discharged dynamically by machine::checkInterferenceImpl.
 Result<void> validateInstalled(const isa::MachineState &State,
-                               const MemoryImage &Image,
+                               const MemoryLayout &Layout,
                                const ImageSpec &Spec);
 
-/// Convenience wrapper: builds the image, makes the initial state, runs
-/// the startup code (the Next^k prefix of theorem (5)), and validates the
-/// installed assumption before returning the state ready at CodeBase.
+/// Convenience wrapper: builds the image, installs it in place as the
+/// initial state (no copy), runs the startup code (the Next^k prefix of
+/// theorem (5)), and validates the installed assumption before returning
+/// the state ready at CodeBase.  The state owns the only copy of memory.
 struct BootResult {
-  MemoryImage Image;
-  isa::MachineState State;
+  MemoryLayout Layout;
+  isa::MachineState State{0};
   uint64_t StartupSteps = 0;
 };
 Result<BootResult> boot(const ImageSpec &Spec);

@@ -208,7 +208,7 @@ TEST(LabEnvModel, MemoryLatencyIsHonoured) {
   sys::MemoryLayout Layout{};
   LabEnvOptions Opt;
   Opt.MemLatency = 2;
-  LabEnv Env(std::vector<uint8_t>(64, 0), Layout, Opt);
+  LabEnv Env(isa::GuestMemory(64), Layout, Opt);
 
   CoreOutputs Out;
   Out.MemAddr = 8;
@@ -231,7 +231,7 @@ TEST(LabEnvModel, MemoryLatencyIsHonoured) {
 
 TEST(LabEnvModel, RejectsProtocolViolations) {
   sys::MemoryLayout Layout{};
-  LabEnv Env(std::vector<uint8_t>(64, 0), Layout, {});
+  LabEnv Env(isa::GuestMemory(64), Layout, {});
   CoreOutputs Req;
   Req.MemAddr = 2;
   Req.MemRen = true;
@@ -244,7 +244,7 @@ TEST(LabEnvModel, RejectsProtocolViolations) {
   EXPECT_FALSE(Env.observeOutputs(Req)); // request while busy
 
   Req.MemAddr = 1024;
-  LabEnv Env2(std::vector<uint8_t>(64, 0), Layout, {});
+  LabEnv Env2(isa::GuestMemory(64), Layout, {});
   Env2.inputsForCycle(In);
   EXPECT_FALSE(Env2.observeOutputs(Req)); // out of range
 }
@@ -253,7 +253,7 @@ TEST(LabEnvModel, ByteWritesTouchOneByte) {
   sys::MemoryLayout Layout{};
   LabEnvOptions Opt;
   Opt.MemLatency = 0;
-  LabEnv Env(std::vector<uint8_t>(64, 0xff), Layout, Opt);
+  LabEnv Env(isa::GuestMemory(64, 0xff), Layout, Opt);
   CoreOutputs Req;
   Req.MemAddr = 5;
   Req.MemWen = true;

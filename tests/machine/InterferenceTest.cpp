@@ -20,7 +20,7 @@ namespace {
 
 struct World {
   sys::ImageSpec Spec;
-  sys::BootResult Boot{sys::MemoryImage{}, isa::MachineState(0), 0};
+  sys::BootResult Boot;
   ffi::BasisFfi Model;
 
   World(std::vector<std::string> Cl, std::string Stdin) {
@@ -41,7 +41,7 @@ struct World {
                             const std::vector<uint8_t> &Conf,
                             const std::vector<uint8_t> &Bytes) {
     isa::MachineState S = Boot.State;
-    const sys::MemoryLayout &L = Boot.Image.Layout;
+    const sys::MemoryLayout &L = Boot.Layout;
     // Place conf and bytes in the CakeML-usable region.
     Word ConfPtr = L.HeapBase;
     Word BytesPtr = L.HeapBase + 256;
@@ -60,7 +60,7 @@ struct World {
   Result<void> check(sys::FfiIndex Index, const std::vector<uint8_t> &Conf,
                      const std::vector<uint8_t> &Bytes) {
     return checkInterferenceImpl(atEntry(Index, Conf, Bytes),
-                                 Boot.Image.Layout, Model);
+                                 Boot.Layout, Model);
   }
 };
 
@@ -223,7 +223,7 @@ TEST(Interference, SequencedCallsEvolveTheSameState) {
   World W({"prog"}, "abcdefghij");
   isa::MachineState S = W.Boot.State;
   ffi::BasisFfi Model = W.Model;
-  const sys::MemoryLayout &L = W.Boot.Image.Layout;
+  const sys::MemoryLayout &L = W.Boot.Layout;
 
   for (int Round = 0; Round != 3; ++Round) {
     std::vector<uint8_t> Req = readRequest(3, 6);

@@ -19,7 +19,7 @@ namespace {
 /// Boots a hand-assembled program (no MiniCake) with the given world.
 struct Fixture {
   sys::ImageSpec Spec;
-  sys::BootResult Boot{sys::MemoryImage{}, isa::MachineState(0), 0};
+  sys::BootResult Boot;
 
   Fixture(const std::function<void(assembler::Assembler &, Word)> &Emit,
           std::vector<std::string> Cl = {"prog"}, std::string Stdin = "") {
@@ -52,7 +52,7 @@ struct Fixture {
   MachineSem sem() {
     ffi::BasisFfi Ffi(Spec.CommandLine,
                       ffi::Filesystem::withStdin(Spec.StdinData));
-    return MachineSem(Boot.State, std::move(Ffi), Boot.Image.Layout);
+    return MachineSem(Boot.State, std::move(Ffi), Boot.Layout);
   }
 };
 
@@ -137,7 +137,7 @@ TEST(MachineSem, ExitCallTerminatesWithCode) {
   // The exit is also recorded in the memory cells (theorem (6)'s
   // exit_code_0 observable).
   sys::ExitStatus S =
-      sys::readExitStatus(Sem.state(), F.Boot.Image.Layout);
+      sys::readExitStatus(Sem.state().Memory, F.Boot.Layout);
   EXPECT_TRUE(S.Exited);
   EXPECT_EQ(S.Code, 42);
 }

@@ -3,6 +3,8 @@
 #include "sys/Image.h"
 
 #include "isa/Abi.h"
+#include "stack/Apps.h"
+#include "stack/Stack.h"
 
 #include <gtest/gtest.h>
 
@@ -87,7 +89,7 @@ TEST(Image, EmptyCommandLineBuilds) {
   Result<BootResult> Boot = sys::boot(Spec);
   ASSERT_TRUE(Boot) << Boot.error().str();
   // The command-line region holds a zero length word.
-  EXPECT_EQ(Boot->State.readWord(Boot->Image.Layout.CmdlineBase), 0u);
+  EXPECT_EQ(Boot->State.readWord(Boot->Layout.CmdlineBase), 0u);
 }
 
 TEST(ClOk, AcceptsAndRejects) {
@@ -112,7 +114,7 @@ TEST(Image, BuildsAndBoots) {
   Result<BootResult> Boot = sys::boot(Spec);
   ASSERT_TRUE(Boot) << Boot.error().str();
 
-  const MemoryLayout &L = Boot->Image.Layout;
+  const MemoryLayout &L = Boot->Layout;
   const isa::MachineState &S = Boot->State;
   // Startup set the info registers (installed (i)).
   EXPECT_EQ(S.Regs[silver::abi::MemStartReg], L.HeapBase);
@@ -154,8 +156,8 @@ TEST(Installed, DetectsCorruptedProgram) {
 
   // Tamper with the program bytes in memory.
   isa::MachineState Bad = Boot->State;
-  Bad.Memory[Boot->Image.Layout.CodeBase] ^= 0xff;
-  Result<void> V = validateInstalled(Bad, Boot->Image, Spec);
+  Bad.Memory[Boot->Layout.CodeBase] ^= 0xff;
+  Result<void> V = validateInstalled(Bad, Boot->Layout, Spec);
   ASSERT_FALSE(V);
   EXPECT_NE(V.error().message().find("corrupted"), std::string::npos);
 }
@@ -170,10 +172,10 @@ TEST(Installed, DetectsWrongRegisters) {
   ASSERT_TRUE(Boot);
   isa::MachineState Bad = Boot->State;
   Bad.Regs[silver::abi::MemStartReg] += 4;
-  EXPECT_FALSE(validateInstalled(Bad, Boot->Image, Spec));
+  EXPECT_FALSE(validateInstalled(Bad, Boot->Layout, Spec));
   Bad = Boot->State;
   Bad.PC += 4;
-  EXPECT_FALSE(validateInstalled(Bad, Boot->Image, Spec));
+  EXPECT_FALSE(validateInstalled(Bad, Boot->Layout, Spec));
 }
 
 TEST(ExitStatusCells, ReadBack) {
@@ -184,11 +186,11 @@ TEST(ExitStatusCells, ReadBack) {
   Spec.Program = Prog->Bytes;
   Result<BootResult> Boot = sys::boot(Spec);
   ASSERT_TRUE(Boot);
-  ExitStatus S0 = readExitStatus(Boot->State, Boot->Image.Layout);
+  ExitStatus S0 = readExitStatus(Boot->State.Memory, Boot->Layout);
   EXPECT_FALSE(S0.Exited);
-  Boot->State.writeWord(Boot->Image.Layout.ExitFlagAddr, 1);
-  Boot->State.writeWord(Boot->Image.Layout.ExitCodeAddr, 7);
-  ExitStatus S1 = readExitStatus(Boot->State, Boot->Image.Layout);
+  Boot->State.writeWord(Boot->Layout.ExitFlagAddr, 1);
+  Boot->State.writeWord(Boot->Layout.ExitCodeAddr, 7);
+  ExitStatus S1 = readExitStatus(Boot->State.Memory, Boot->Layout);
   EXPECT_TRUE(S1.Exited);
   EXPECT_EQ(S1.Code, 7);
 }
@@ -201,7 +203,7 @@ TEST(SysEnv, CollectsTerminalOutputOnInterrupt) {
   Spec.Program = Prog->Bytes;
   Result<BootResult> Boot = sys::boot(Spec);
   ASSERT_TRUE(Boot);
-  const MemoryLayout &L = Boot->Image.Layout;
+  const MemoryLayout &L = Boot->Layout;
 
   SysEnv Env(L);
   // Simulate a write syscall having filled the output buffer for stdout.
@@ -235,4 +237,54 @@ TEST(Syscalls, ProgramsFitTheirRegions) {
   Result<assembler::Assembled> Start = buildStartupProgram(*L);
   ASSERT_TRUE(Start) << Start.error().str();
   EXPECT_LE(Start->Bytes.size(), P.StartupCap);
+}
+
+TEST(BootEquivalence, InPlaceBootMatchesCopyingPathOnAllApps) {
+  // sys::boot installs the built image in place (the memory is moved,
+  // never copied); the copying path installs a copy of the image and
+  // steps the startup prefix with the reference Next function.  Both
+  // must reach the same ISA-visible state, byte for byte.
+  struct App {
+    const char *Name;
+    const char *Source;
+    std::string Stdin;
+  };
+  const App Apps[] = {
+      {"hello", stack::helloSource(), ""},
+      {"cat", stack::catSource(), "cat me\n"},
+      {"wc", stack::wcSource(), "one two\nthree\n"},
+      {"sort", stack::sortSource(), "b\na\nc\n"},
+      {"proof", stack::proofCheckerSource(), stack::sampleValidProof()},
+      {"tin", stack::tinCompilerSource(), stack::sampleTinProgram(3)},
+  };
+  for (const App &A : Apps) {
+    SCOPED_TRACE(A.Name);
+    stack::RunSpec Spec;
+    Spec.Source = A.Source;
+    Spec.StdinData = A.Stdin;
+    Result<stack::Prepared> P = stack::prepare(Spec);
+    ASSERT_TRUE(P) << P.error().str();
+
+    Result<BootResult> Boot = sys::boot(P->Image);
+    ASSERT_TRUE(Boot) << Boot.error().str();
+
+    Result<MemoryImage> Image = buildImage(P->Image);
+    ASSERT_TRUE(Image) << Image.error().str();
+    isa::MachineState Copy = initialState(*Image);
+    EXPECT_NE(Copy.Memory.data(), Image->Memory.data());
+    uint64_t Steps = 0;
+    while (Copy.PC != Image->Layout.CodeBase && Steps != 64) {
+      ASSERT_TRUE(isa::step(Copy, isa::nullEnv()).ok()) << "step " << Steps;
+      ++Steps;
+    }
+
+    EXPECT_EQ(Boot->StartupSteps, Steps);
+    EXPECT_EQ(Boot->Layout.CodeBase, Image->Layout.CodeBase);
+    EXPECT_EQ(Boot->Layout.HeapBase, Image->Layout.HeapBase);
+    EXPECT_EQ(Boot->State.memSize(), P->Image.Params.MemSize);
+    EXPECT_TRUE(Boot->State.isaVisibleEquals(Copy));
+    EXPECT_EQ(Boot->State.DataOut, Copy.DataOut);
+    EXPECT_EQ(Boot->State.IoEvents.size(), Copy.IoEvents.size());
+    EXPECT_TRUE(validateInstalled(Copy, Image->Layout, P->Image));
+  }
 }
