@@ -21,9 +21,10 @@
 //                [--baseline=FILE] [--guard-band=F]
 //
 // With --baseline, every row is compared against the committed baseline:
-// a throughput drop beyond the guard band (default 25%) fails with exit
-// 3; a rise beyond the band prints a re-baseline hint but passes (CI
-// must not go red for getting faster).
+// a throughput drop beyond the guard band (default 25%), or a baseline
+// row this run did not measure on an engine the host supports, fails
+// with exit 3; a rise beyond the band prints a re-baseline hint but
+// passes (CI must not go red for getting faster).
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,28 +55,10 @@ struct Row {
   double CyclesPerSec = 0;
 };
 
-/// One measured (level, backend) cell.  The JIT is not a Figure-1 layer
-/// — it is the Isa level stepped by the BackendKind::Jit engine — so it
-/// gets its own row name ("jit") rather than a new Level.
-struct Cell {
-  Level L;
-  BackendKind Backend = BackendKind::Interp;
-  /// Simulator backend for the Verilog level; the compiled simulator
-  /// (hdl/compile) gets its own row name ("verilog-compiled"), same
-  /// convention as the JIT.
-  HdlBackendKind Hdl = HdlBackendKind::Interp;
-};
-
-const char *cellName(const Cell &C) {
-  if (C.Hdl == HdlBackendKind::Compiled)
-    return "verilog-compiled";
-  return C.Backend == BackendKind::Jit ? "jit" : levelName(C.L);
-}
-
 struct Workload {
   std::string Name;
   RunSpec Spec;
-  std::vector<Cell> Cells;
+  std::vector<Engine> Engines; ///< one row each, named by engineName
 };
 
 std::vector<Workload> workloads() {
@@ -85,13 +68,8 @@ std::vector<Workload> workloads() {
   Hello.Exec.MaxSteps = 100'000'000;
   W.push_back({"hello",
                Hello,
-               {{Level::Machine},
-                {Level::Isa},
-                {Level::Rtl},
-                {Level::Verilog},
-                {Level::Verilog, BackendKind::Interp,
-                 HdlBackendKind::Compiled},
-                {Level::Isa, BackendKind::Jit}}});
+               {Engine::MachineSem, Engine::Isa, Engine::Rtl, Engine::Verilog,
+                Engine::VerilogCompiled, Engine::Jit}});
   // A longer interpreter-bound workload: the cycle-accurate levels would
   // take minutes here, so wc only measures the two interpreters and the
   // JIT.
@@ -99,9 +77,7 @@ std::vector<Workload> workloads() {
   Wc.Source = wcSource();
   Wc.StdinData = randomLines(200, 1);
   Wc.Exec.MaxSteps = 100'000'000;
-  W.push_back({"wc-200",
-               Wc,
-               {{Level::Machine}, {Level::Isa}, {Level::Isa, BackendKind::Jit}}});
+  W.push_back({"wc-200", Wc, {Engine::MachineSem, Engine::Isa, Engine::Jit}});
   return W;
 }
 
@@ -227,8 +203,18 @@ Result<std::vector<BaselineRow>> loadBaseline(const std::string &Path) {
   return Rows;
 }
 
-/// Compares \p Rows against \p Base.  Returns the number of regressions
-/// (throughput below (1 - Band) of baseline).  Rows faster than
+/// True when \p Name is an engine this host cannot run natively.
+bool unsupportedEngine(const std::string &Name) {
+  for (size_t E = 0; E != NumEngines; ++E)
+    if (Name == EngineTable[E].Name)
+      return !engineSupported(static_cast<Engine>(E));
+  return false;
+}
+
+/// Compares \p Rows against \p Base.  Returns the number of regressions:
+/// throughput below (1 - Band) of baseline, or a baseline row with no
+/// fresh row (a renamed or dropped row would otherwise leave the guard
+/// unseen) unless its engine cannot run on this host.  Rows faster than
 /// (1 + Band) of baseline only print a re-baseline hint.
 unsigned compareAgainstBaseline(const std::vector<Row> &Rows,
                                 const std::vector<BaselineRow> &Base,
@@ -269,6 +255,18 @@ unsigned compareAgainstBaseline(const std::vector<Row> &Rows,
     }
     Check(R, "instr/s", R.InstrPerSec, B->InstrPerSec);
     Check(R, "cycles/s", R.CyclesPerSec, B->CyclesPerSec);
+  }
+  for (const BaselineRow &B : Base) {
+    bool Fresh = std::any_of(Rows.begin(), Rows.end(), [&](const Row &R) {
+      return R.Name == B.Name && R.Level == B.Level;
+    });
+    if (Fresh || unsupportedEngine(B.Level))
+      continue;
+    std::fprintf(stderr,
+                 "bench_layers: MISSING %s/%s: in the baseline but not "
+                 "measured\n",
+                 B.Name.c_str(), B.Level.c_str());
+    ++Regressions;
   }
   return Regressions;
 }
@@ -337,32 +335,21 @@ int main(int Argc, char **Argv) {
 
   std::vector<Row> Rows;
   for (const Workload &W : workloads()) {
-    for (const Cell &C : W.Cells) {
-      if (C.Backend == BackendKind::Jit &&
-          !backendSupported(BackendKind::Jit)) {
-        // No row at all: the baseline guard reports absent cells as
-        // "new cell" notes, so an unsupported host passes rather than
-        // recording interpreter numbers under the jit label.
+    for (Engine E : W.Engines) {
+      const EngineRow &Eng = engineRow(E);
+      if (!engineSupported(E)) {
+        // No row at all: no interpreter numbers under the engine's
+        // label, and the baseline guard skips the absent row.
         std::fprintf(stderr,
-                     "bench_layers: skipping %s/jit (host unsupported)\n",
-                     W.Name.c_str());
+                     "bench_layers: skipping %s/%s (host unsupported)\n",
+                     W.Name.c_str(), Eng.Name);
         continue;
       }
-      if (C.Hdl == HdlBackendKind::Compiled &&
-          !hdlBackendSupported(HdlBackendKind::Compiled)) {
-        // Same convention: no interpreter numbers under the compiled
-        // label on hosts without a usable C++ compiler.
-        std::fprintf(stderr,
-                     "bench_layers: skipping %s/verilog-compiled "
-                     "(no host C++ compiler)\n",
-                     W.Name.c_str());
-        continue;
-      }
-      // The backend is part of the session spec, so each cell gets its
+      // The backend is part of the session spec, so each row gets its
       // own (untimed) Executor rather than sharing one per workload.
       RunSpec Spec = W.Spec;
-      Spec.Exec.Backend = C.Backend;
-      Spec.Exec.Hdl = C.Hdl;
+      Spec.Exec.Backend = Eng.Backend;
+      Spec.Exec.Hdl = Eng.Hdl;
       Result<Executor> ExecOr = Executor::create(Spec);
       if (!ExecOr) {
         std::fprintf(stderr, "bench_layers: %s: %s\n", W.Name.c_str(),
@@ -372,14 +359,14 @@ int main(int Argc, char **Argv) {
       Executor Exec = ExecOr.take();
       Row R;
       R.Name = W.Name;
-      R.Level = cellName(C);
+      R.Level = Eng.Name;
       std::vector<uint64_t> Samples;
       for (unsigned Rep = 0; Rep != Warmup + Reps; ++Rep) {
         Result<uint64_t> Ns =
-            timedRun(Exec, C.L, R.Instructions, R.Cycles);
+            timedRun(Exec, Eng.L, R.Instructions, R.Cycles);
         if (!Ns) {
           std::fprintf(stderr, "bench_layers: %s at %s: %s\n",
-                       W.Name.c_str(), cellName(C),
+                       W.Name.c_str(), Eng.Name,
                        Ns.error().str().c_str());
           return 1;
         }
@@ -425,7 +412,8 @@ int main(int Argc, char **Argv) {
     unsigned Regressions = compareAgainstBaseline(Rows, *Base, GuardBand);
     if (Regressions) {
       std::fprintf(stderr, "bench_layers: %u regression(s) beyond the "
-                   "%.0f%% guard band\n", Regressions, GuardBand * 100);
+                   "%.0f%% guard band or missing row(s)\n", Regressions,
+                   GuardBand * 100);
       return 3;
     }
     std::fprintf(stderr, "bench_layers: all rows within the baseline guard "

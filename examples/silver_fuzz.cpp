@@ -221,12 +221,7 @@ int main(int Argc, char **Argv) {
               << Report.WallSeconds << " s, "
               << rate(Report.CasesRun, Report.WallSeconds) << " cases/s\n";
     for (const fuzz::LevelWork &W : Report.Work) {
-      std::cout << "  "
-                << (W.Compiled ? "verilog-compiled"
-                    : W.Jit    ? "jit"
-                               : stack::levelName(W.L))
-                << ": "
-                << W.Instructions
+      std::cout << "  " << stack::engineName(W.E) << ": " << W.Instructions
                 << " instrs (" << rate(W.Instructions, Report.WallSeconds)
                 << " instrs/s)";
       if (W.Cycles != 0)

@@ -22,8 +22,7 @@ static Result<std::unique_ptr<CoreSim>> makeSim(const SilverCore &Core,
     return S;
   }
   VerilogSimOptions V;
-  V.Compiled = Options.CompiledVerilog;
-  V.FallbackDiag = Options.HdlDiag;
+  V.Compiled = Options.Level == SimLevel::VerilogCompiled;
   return makeVerilogSim(Core, V);
 }
 

@@ -33,19 +33,16 @@
 namespace silver {
 namespace cpu {
 
-/// Which implementation level to run.
-enum class SimLevel : uint8_t { Circuit, Verilog };
+/// Which implementation level to run: the circuit, or the generated
+/// Verilog stepped by the AST interpreter or by the compiled backend
+/// (hdl/compile; falls back to the interpreter transparently, see
+/// cpu::VerilogSimOptions).
+enum class SimLevel : uint8_t { Circuit, Verilog, VerilogCompiled };
 
 struct RunOptions {
   SimLevel Level = SimLevel::Circuit;
   LabEnvOptions Env;
   uint64_t MaxCycles = 100'000'000ull;
-  /// Verilog level only: step the generated module with the compiled
-  /// backend (hdl/compile) instead of the AST interpreter.  Falls back
-  /// to the interpreter transparently (see cpu::VerilogSimOptions);
-  /// *HdlDiag, when non-null, receives the fallback diagnostic.
-  bool CompiledVerilog = false;
-  std::string *HdlDiag = nullptr;
   /// Receives retire / FFI / memory / cycle events; null runs silent.
   /// Not owned.
   obs::Observer *Obs = nullptr;

@@ -300,11 +300,6 @@ std::unique_ptr<CoreSim> silver::cpu::makeCircuitSim(const SilverCore &Core) {
 }
 
 Result<std::unique_ptr<CoreSim>>
-silver::cpu::makeVerilogSim(const SilverCore &Core) {
-  return makeVerilogSim(Core, {});
-}
-
-Result<std::unique_ptr<CoreSim>>
 silver::cpu::makeVerilogSim(const SilverCore &Core,
                             const VerilogSimOptions &Opts) {
   Result<hdl::VModule> Module = rtl::toVerilog(Core.Circuit);

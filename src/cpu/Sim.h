@@ -105,11 +105,9 @@ struct VerilogSimOptions {
   std::string *FallbackDiag = nullptr;
 };
 
-/// Layer-4 simulator: verilog_sem on the generated module.  Fails if the
-/// generated module does not type-check.
-Result<std::unique_ptr<CoreSim>> makeVerilogSim(const SilverCore &Core);
-
-/// As above with backend selection (see VerilogSimOptions).
+/// Layer-4 simulator: verilog_sem on the generated module, stepped by
+/// the backend \p Opts selects.  Fails if the generated module does not
+/// type-check.
 Result<std::unique_ptr<CoreSim>> makeVerilogSim(const SilverCore &Core,
                                                 const VerilogSimOptions &Opts);
 

@@ -27,15 +27,11 @@ FuzzReport silver::fuzz::runFuzz(const FuzzOptions &O) {
   std::atomic<uint64_t> CasesRun{0};
   std::atomic<uint64_t> Inconclusive{0};
   std::atomic<uint64_t> CaseErrors{0};
-  // Per-level work totals, indexed by stack::Level with one extra slot
-  // for the Jit-vs-Isa differential runs; summed lock-free in the
-  // workers and folded into the report at the end.
-  constexpr size_t NumLevels = static_cast<size_t>(stack::Level::Verilog) + 1;
-  constexpr size_t JitSlot = NumLevels;
-  constexpr size_t CompiledSlot = NumLevels + 1;
-  std::array<std::atomic<uint64_t>, NumLevels + 2> LevelInstrs{};
-  std::array<std::atomic<uint64_t>, NumLevels + 2> LevelCycles{};
-  std::array<std::atomic<uint64_t>, NumLevels + 2> LevelRuns{};
+  // Per-engine work totals, indexed by stack::Engine; summed lock-free
+  // in the workers and folded into the report at the end.
+  std::array<std::atomic<uint64_t>, stack::NumEngines> EngineInstrs{};
+  std::array<std::atomic<uint64_t>, stack::NumEngines> EngineCycles{};
+  std::array<std::atomic<uint64_t>, stack::NumEngines> EngineRuns{};
   std::mutex Mu; // guards Report.Findings and O.Log
   const auto Start = std::chrono::steady_clock::now();
   const auto Deadline =
@@ -67,14 +63,12 @@ FuzzReport silver::fuzz::runFuzz(const FuzzOptions &O) {
       for (const LevelRun &Run : R->Runs) {
         if (!Run.Ran)
           continue;
-        size_t L = Run.Compiled ? CompiledSlot
-                   : Run.Jit    ? JitSlot
-                                : static_cast<size_t>(Run.L);
-        LevelRuns[L].fetch_add(1, std::memory_order_relaxed);
-        LevelInstrs[L].fetch_add(Run.Behaviour.Instructions,
-                                 std::memory_order_relaxed);
-        LevelCycles[L].fetch_add(Run.Behaviour.Cycles,
-                                 std::memory_order_relaxed);
+        size_t E = static_cast<size_t>(Run.E);
+        EngineRuns[E].fetch_add(1, std::memory_order_relaxed);
+        EngineInstrs[E].fetch_add(Run.Behaviour.Instructions,
+                                  std::memory_order_relaxed);
+        EngineCycles[E].fetch_add(Run.Behaviour.Cycles,
+                                  std::memory_order_relaxed);
       }
       if (R->Diff.Kind == DiffKind::Inconclusive) {
         Inconclusive.fetch_add(1, std::memory_order_relaxed);
@@ -123,17 +117,13 @@ FuzzReport silver::fuzz::runFuzz(const FuzzOptions &O) {
   Report.WallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
-  for (size_t L = 0; L != NumLevels + 2; ++L) {
-    if (LevelRuns[L].load() == 0)
+  for (size_t E = 0; E != stack::NumEngines; ++E) {
+    if (EngineRuns[E].load() == 0)
       continue;
     LevelWork W;
-    W.L = L == JitSlot        ? stack::Level::Isa
-          : L == CompiledSlot ? stack::Level::Verilog
-                              : static_cast<stack::Level>(L);
-    W.Jit = L == JitSlot;
-    W.Compiled = L == CompiledSlot;
-    W.Instructions = LevelInstrs[L].load();
-    W.Cycles = LevelCycles[L].load();
+    W.E = static_cast<stack::Engine>(E);
+    W.Instructions = EngineInstrs[E].load();
+    W.Cycles = EngineCycles[E].load();
     Report.Work.push_back(W);
   }
   // Workers race on push order; the index sort restores determinism.

@@ -65,14 +65,11 @@ struct Finding {
   uint64_t ShrinkAttempts = 0;
 };
 
-/// Work done at one level over a whole campaign, for throughput
-/// reporting (instructions at every level; cycles only at the clocked
+/// Work done by one engine over a whole campaign, for throughput
+/// reporting (instructions on every engine; cycles only on the clocked
 /// ones).
 struct LevelWork {
-  stack::Level L = stack::Level::Isa;
-  bool Jit = false; ///< the Jit-vs-Isa differential runs (L is Isa)
-  /// The Compiled-vs-Verilog differential runs (L is Verilog).
-  bool Compiled = false;
+  stack::Engine E = stack::Engine::Isa;
   uint64_t Instructions = 0;
   uint64_t Cycles = 0;
 };
@@ -85,8 +82,8 @@ struct FuzzReport {
   /// Campaign wall-clock time (generation + oracle + shrinking), for
   /// cases/sec and per-level instrs/sec throughput lines.
   double WallSeconds = 0;
-  /// Per-level totals across every case the oracle ran, in level order;
-  /// levels that never ran are omitted.
+  /// Per-engine totals across every case the oracle ran, in Engine
+  /// order; engines that never ran are omitted.
   std::vector<LevelWork> Work;
 };
 

@@ -16,6 +16,8 @@
 
 using namespace silver;
 using namespace silver::fuzz;
+using stack::Agreement;
+using stack::Engine;
 using stack::Level;
 
 const char *silver::fuzz::diffKindName(DiffKind K) {
@@ -37,11 +39,8 @@ const char *silver::fuzz::diffKindName(DiffKind K) {
 }
 
 std::string Divergence::fingerprint() const {
-  std::string Other_ = OtherCompiled ? "verilog-compiled"
-                       : OtherJit    ? "jit"
-                                     : stack::levelName(Other);
-  return std::string(diffKindName(Kind)) + ":" + stack::levelName(Ref) + ":" +
-         Other_;
+  return std::string(diffKindName(Kind)) + ":" + stack::engineName(Ref) +
+         ":" + stack::engineName(Other);
 }
 
 Result<stack::Prepared> silver::fuzz::prepareCase(const CaseSpec &C) {
@@ -83,48 +82,43 @@ Result<stack::Prepared> silver::fuzz::prepareCase(const CaseSpec &C) {
 
 namespace {
 
-LevelRun runOne(const stack::Prepared &P, const CaseSpec &C, Level L,
-                uint64_t MaxSteps, bool Jit = false, bool Compiled = false) {
+LevelRun runOne(const stack::Prepared &P, const CaseSpec &C, Engine E,
+                uint64_t MaxSteps) {
+  const stack::EngineRow &Row = stack::engineRow(E);
   LevelRun R;
-  R.L = L;
-  R.Jit = Jit;
-  R.Compiled = Compiled;
+  R.E = E;
   R.Ran = true;
+  R.Traced = Row.Backend != stack::BackendKind::Jit;
 
   stack::RunSpec Spec;
   Spec.CommandLine = C.CommandLine;
   Spec.StdinData = C.StdinData;
   Spec.Exec.MaxSteps = MaxSteps;
-  Spec.Exec.Backend =
-      Jit ? stack::BackendKind::Jit : stack::BackendKind::Interp;
-  Spec.Exec.Hdl = Compiled ? stack::HdlBackendKind::Compiled
-                           : stack::HdlBackendKind::Interp;
+  Spec.Exec.Backend = Row.Backend;
+  Spec.Exec.Hdl = Row.Hdl;
   Spec.Exec.JitHotThreshold = 1; // cases are short; compile everything
 
-  stack::Executor E = stack::Executor::fromPrepared(Spec, P);
+  stack::Executor Exec = stack::Executor::fromPrepared(Spec, P);
   obs::TraceSink Sink;
   Sink.setFfiNames(stack::Executor::ffiNames());
-  // The JIT run stays unobserved: per-step retire events would force
-  // every block back to the interpreter, and the retire stream is only
-  // compared for the hardware levels anyway.
-  if (!Jit)
-    E.attach(&Sink);
+  if (R.Traced)
+    Exec.attach(&Sink);
 
-  if (Result<void> B = E.begin(L); !B) {
+  if (Result<void> B = Exec.begin(Row.L); !B) {
     R.Errored = true;
     R.ErrorMessage = B.error().message();
     return R;
   }
-  Result<stack::RunStatus> St = E.step(UINT64_MAX);
+  Result<stack::RunStatus> St = Exec.step(UINT64_MAX);
   if (!St) {
     R.Errored = true;
     R.ErrorMessage = St.error().message();
     return R;
   }
   R.Status = *St;
-  if (Result<stack::StateDigest> D = E.sessionState())
+  if (Result<stack::StateDigest> D = Exec.sessionState())
     R.Digest = *D;
-  Result<stack::Outcome> Out = E.finish();
+  Result<stack::Outcome> Out = Exec.finish();
   if (!Out) {
     R.Errored = true;
     R.ErrorMessage = Out.error().message();
@@ -135,34 +129,38 @@ LevelRun runOne(const stack::Prepared &P, const CaseSpec &C, Level L,
   return R;
 }
 
-bool isHardware(Level L) { return L == Level::Rtl || L == Level::Verilog; }
-
-const char *runName(const LevelRun &R) {
-  return R.Compiled ? "verilog-compiled"
-         : R.Jit    ? "jit"
-                    : stack::levelName(R.L);
+/// The engine that runs \p L with the interpreting backends.
+Engine interpEngine(Level L) {
+  for (size_t I = 0; I != stack::NumEngines; ++I) {
+    const stack::EngineRow &Row = stack::EngineTable[I];
+    if (Row.L == L && Row.Backend == stack::BackendKind::Interp &&
+        Row.Hdl == stack::HdlBackendKind::Interp)
+      return static_cast<Engine>(I);
+  }
+  return Engine::Isa; // unreachable: every level but Spec has a row
 }
 
-Divergence diverge(DiffKind K, const LevelRun &Other, std::string Detail) {
-  Divergence D;
-  D.Kind = K;
-  D.Ref = Level::Isa;
-  D.Other = Other.L;
-  D.OtherJit = Other.Jit;
-  D.Detail = std::move(Detail);
-  return D;
-}
+} // namespace
 
-/// Compares \p R against the ISA reference \p Ref; see the file comment
-/// of Oracle.h for the two masked asymmetries.
-Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
+Divergence silver::fuzz::compareRuns(const LevelRun &Ref, const LevelRun &R,
+                                     bool HasFfi) {
+  const Agreement Rule = stack::engineRow(R.E).Rule;
+  auto Diverge = [&](DiffKind K, std::string Detail) {
+    Divergence D;
+    D.Kind = K;
+    D.Ref = Ref.E;
+    D.Other = R.E;
+    D.Detail = std::move(Detail);
+    return D;
+  };
+
   if (Ref.Errored || R.Errored) {
     // Both sides failing is agreement (the generator aims never to get
     // here); one side failing while the other completes is the kind of
     // asymmetry the fuzzer exists to find.
     if (Ref.Errored == R.Errored)
       return {};
-    if (!Ref.Errored && R.L == Level::Machine &&
+    if (!Ref.Errored && Rule == Agreement::FfiOracle &&
         R.ErrorMessage == machine::OracleRejectedMessage) {
       // ffi_interfer is specified only for well-formed FFI call states;
       // the real syscall code the other levels run has no such domain
@@ -176,33 +174,40 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
       return D;
     }
     const LevelRun &Bad = Ref.Errored ? Ref : R;
-    return diverge(DiffKind::Status, R,
-                   std::string(stack::levelName(Bad.L)) +
-                       " errored: " + Bad.ErrorMessage);
+    return Diverge(DiffKind::Status, std::string(stack::engineName(Bad.E)) +
+                                         " errored: " + Bad.ErrorMessage);
   }
   if (Ref.Status != R.Status)
-    return diverge(DiffKind::Status, R,
+    return Diverge(DiffKind::Status,
                    std::string(stack::runStatusName(Ref.Status)) + " vs " +
                        stack::runStatusName(R.Status));
 
   const stack::Observed &A = Ref.Behaviour;
   const stack::Observed &B = R.Behaviour;
   if (A.StdoutData != B.StdoutData)
-    return diverge(DiffKind::Behaviour, R, "stdout differs");
+    return Diverge(DiffKind::Behaviour, "stdout differs");
   if (A.StderrData != B.StderrData)
-    return diverge(DiffKind::Behaviour, R, "stderr differs");
+    return Diverge(DiffKind::Behaviour, "stderr differs");
   if (A.Terminated != B.Terminated || A.ExitCode != B.ExitCode)
-    return diverge(DiffKind::Behaviour, R,
+    return Diverge(DiffKind::Behaviour,
                    "exit " + std::to_string(A.Terminated) + "/" +
                        std::to_string(A.ExitCode) + " vs " +
                        std::to_string(B.Terminated) + "/" +
                        std::to_string(B.ExitCode));
+  if (Rule == Agreement::Exact &&
+      (A.Instructions != B.Instructions || A.Cycles != B.Cycles))
+    return Diverge(DiffKind::Behaviour,
+                   "counters " + std::to_string(A.Instructions) + "i/" +
+                       std::to_string(A.Cycles) + "c vs " +
+                       std::to_string(B.Instructions) + "i/" +
+                       std::to_string(B.Cycles) + "c");
 
-  // Retire streams: Isa vs the hardware levels only (the Machine level
-  // compresses each FFI call into one unobserved oracle step).
-  if (isHardware(R.L)) {
+  // Retire streams: never under FfiOracle (the machine level compresses
+  // each FFI call into one oracle step), and only between traced runs.
+  if (Rule != Agreement::FfiOracle && Ref.Traced && R.Traced) {
     std::vector<std::pair<Word, uint8_t>> Other = R.Retires;
-    if (Other.size() == Ref.Retires.size() + 1 && !Other.empty() &&
+    if (Rule == Agreement::HaltRetire &&
+        Other.size() == Ref.Retires.size() + 1 &&
         Other.back().first == Ref.Digest.Pc)
       Other.pop_back(); // the hardware's extra halt-self-jump retire
     if (Other != Ref.Retires) {
@@ -213,8 +218,8 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
           At = I;
           break;
         }
-      Divergence D = diverge(
-          DiffKind::Retire, R,
+      Divergence D = Diverge(
+          DiffKind::Retire,
           At < N ? "first mismatch at retire " + std::to_string(At) +
                        ": pc " + toHex(Ref.Retires[At].first) + " vs " +
                        toHex(Other[At].first)
@@ -225,122 +230,35 @@ Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi) {
     }
   }
 
-  stack::StateDigest DA = Ref.Digest;
+  const stack::StateDigest &DA = Ref.Digest;
   stack::StateDigest DB = R.Digest;
-  if (isHardware(R.L)) {
+  if (Rule == Agreement::HaltRetire) {
     // The retired halt self-jump wrote PC+4 to the link register and
-    // ran the ALU once more; the epilogue preserved the real flags in
-    // r43/r44, which stay unmasked.
+    // ran the ALU once more.
     DB.Regs[isa::NumRegs - 1] = DA.Regs[isa::NumRegs - 1];
     DB.Carry = DA.Carry;
     DB.Overflow = DA.Overflow;
   }
-  if (R.L == Level::Machine && HasFfi) {
+  if (Rule == Agreement::FfiOracle && HasFfi) {
     // The interference oracle zeroes the clobber set instead of running
-    // the syscall code (which leaves junk in those registers).  The
-    // flags stay unmasked: the generator re-normalises them with an
-    // Add right after every FFI call.
+    // the syscall code (which leaves junk in those registers).
     for (unsigned Reg : sys::syscallClobberedRegs())
       DB.Regs[Reg] = DA.Regs[Reg];
   }
   if (DA.Pc != DB.Pc)
-    return diverge(DiffKind::State, R,
+    return Diverge(DiffKind::State,
                    "pc " + toHex(DA.Pc) + " vs " + toHex(DB.Pc));
   if (DA.Carry != DB.Carry || DA.Overflow != DB.Overflow)
-    return diverge(DiffKind::State, R, "flags differ");
+    return Diverge(DiffKind::State, "flags differ");
   for (unsigned I = 0; I != isa::NumRegs; ++I)
     if (DA.Regs[I] != DB.Regs[I])
-      return diverge(DiffKind::State, R,
+      return Diverge(DiffKind::State,
                      "r" + std::to_string(I) + " = " + toHex(DA.Regs[I]) +
                          " vs " + toHex(DB.Regs[I]));
   if (DA.MemoryBytes != DB.MemoryBytes || DA.MemoryHash != DB.MemoryHash)
-    return diverge(DiffKind::State, R, "final memory differs");
+    return Diverge(DiffKind::State, "final memory differs");
   return {};
 }
-
-Divergence divergeCompiled(DiffKind K, std::string Detail) {
-  Divergence D;
-  D.Kind = K;
-  D.Ref = Level::Verilog;
-  D.Other = Level::Verilog;
-  D.OtherCompiled = true;
-  D.Detail = std::move(Detail);
-  return D;
-}
-
-/// Compiled-vs-interpreted Verilog: both sides are the same hardware
-/// semantics on the same module, so neither masked asymmetry applies
-/// and the comparison is exact — status, behaviour including the
-/// instruction and cycle counts, the full retire stream (no halt-retire
-/// trim), and the digest, bit for bit.
-Divergence compareCompiled(const LevelRun &Ref, const LevelRun &R) {
-  if (Ref.Errored || R.Errored) {
-    if (Ref.Errored && R.Errored)
-      return {}; // both sides failing identically is agreement
-    const LevelRun &Bad = Ref.Errored ? Ref : R;
-    return divergeCompiled(DiffKind::Status, std::string(runName(Bad)) +
-                                                 " errored: " +
-                                                 Bad.ErrorMessage);
-  }
-  if (Ref.Status != R.Status)
-    return divergeCompiled(DiffKind::Status,
-                           std::string(stack::runStatusName(Ref.Status)) +
-                               " vs " + stack::runStatusName(R.Status));
-  const stack::Observed &A = Ref.Behaviour;
-  const stack::Observed &B = R.Behaviour;
-  if (A.StdoutData != B.StdoutData)
-    return divergeCompiled(DiffKind::Behaviour, "stdout differs");
-  if (A.StderrData != B.StderrData)
-    return divergeCompiled(DiffKind::Behaviour, "stderr differs");
-  if (A.Terminated != B.Terminated || A.ExitCode != B.ExitCode)
-    return divergeCompiled(DiffKind::Behaviour,
-                           "exit " + std::to_string(A.Terminated) + "/" +
-                               std::to_string(A.ExitCode) + " vs " +
-                               std::to_string(B.Terminated) + "/" +
-                               std::to_string(B.ExitCode));
-  if (A.Instructions != B.Instructions || A.Cycles != B.Cycles)
-    return divergeCompiled(DiffKind::Behaviour,
-                           "counters " + std::to_string(A.Instructions) +
-                               "i/" + std::to_string(A.Cycles) + "c vs " +
-                               std::to_string(B.Instructions) + "i/" +
-                               std::to_string(B.Cycles) + "c");
-  if (Ref.Retires != R.Retires) {
-    size_t N = std::min(Ref.Retires.size(), R.Retires.size());
-    size_t At = N;
-    for (size_t I = 0; I != N; ++I)
-      if (Ref.Retires[I] != R.Retires[I]) {
-        At = I;
-        break;
-      }
-    Divergence D = divergeCompiled(
-        DiffKind::Retire,
-        At < N ? "first mismatch at retire " + std::to_string(At) +
-                     ": pc " + toHex(Ref.Retires[At].first) + " vs " +
-                     toHex(R.Retires[At].first)
-               : "stream lengths " + std::to_string(Ref.Retires.size()) +
-                     " vs " + std::to_string(R.Retires.size()));
-    D.RetireAt = At;
-    return D;
-  }
-  const stack::StateDigest &DA = Ref.Digest;
-  const stack::StateDigest &DB = R.Digest;
-  if (DA.Pc != DB.Pc)
-    return divergeCompiled(DiffKind::State, "pc " + toHex(DA.Pc) + " vs " +
-                                                toHex(DB.Pc));
-  if (DA.Carry != DB.Carry || DA.Overflow != DB.Overflow)
-    return divergeCompiled(DiffKind::State, "flags differ");
-  for (unsigned I = 0; I != isa::NumRegs; ++I)
-    if (DA.Regs[I] != DB.Regs[I])
-      return divergeCompiled(DiffKind::State,
-                             "r" + std::to_string(I) + " = " +
-                                 toHex(DA.Regs[I]) + " vs " +
-                                 toHex(DB.Regs[I]));
-  if (DA.MemoryBytes != DB.MemoryBytes || DA.MemoryHash != DB.MemoryHash)
-    return divergeCompiled(DiffKind::State, "final memory differs");
-  return {};
-}
-
-} // namespace
 
 Result<OracleResult> silver::fuzz::runCase(const CaseSpec &C,
                                            const OracleOptions &O) {
@@ -354,7 +272,7 @@ Result<OracleResult> silver::fuzz::runCase(const CaseSpec &C,
     return POr.error();
 
   OracleResult Res;
-  LevelRun Isa = runOne(*POr, C, Level::Isa, O.MaxSteps);
+  LevelRun Isa = runOne(*POr, C, Engine::Isa, O.MaxSteps);
   Res.IsaInstructions = Isa.Behaviour.Instructions;
   if (!Isa.Errored && Isa.Status != stack::RunStatus::Completed) {
     // Nothing to compare against; also keeps runaway loops away from
@@ -365,59 +283,42 @@ Result<OracleResult> silver::fuzz::runCase(const CaseSpec &C,
     return Res;
   }
 
-  // A diverging level that runs off into a loop should be cut short
+  // A diverging engine that runs off into a loop should be cut short
   // cheaply: everything after the reference gets a budget just above
   // the ISA instruction count (the slack covers the startup prefix and
   // the extra halt retire).
   uint64_t Budget =
       Isa.Errored ? O.MaxSteps : Isa.Behaviour.Instructions + 256;
+  Res.Runs.push_back(std::move(Isa));
 
-  Res.Runs.push_back(Isa);
-  if (O.CompareJit) {
-    // The Jit-vs-Isa differential level: the same image at Level::Isa
-    // stepped by the JIT backend.  Neither masked asymmetry applies (no
-    // extra halt retire, no oracle clobber difference), so the
-    // comparison is exact down to the final digest.
-    LevelRun J = runOne(*POr, C, Level::Isa, Budget, /*Jit=*/true);
-    Divergence D = compareRuns(Res.Runs.front(), J, C.hasFfi());
-    Res.Runs.push_back(std::move(J));
-    if (D.found() && !Res.Diff.found())
-      Res.Diff = D;
+  // Each engine runs once, after its reference engine.
+  std::vector<Engine> Engines = {Engine::Isa};
+  auto Want = [&](Engine E) {
+    if (std::find(Engines.begin(), Engines.end(), E) == Engines.end())
+      Engines.push_back(E);
+  };
+  if (O.CompareJit)
+    Want(Engine::Jit);
+  for (Level L : O.Levels)
+    Want(interpEngine(L));
+  if (O.CompareCompiled) {
+    Want(Engine::Verilog);
+    Want(Engine::VerilogCompiled);
   }
-  for (Level L : O.Levels) {
-    if (L == Level::Isa)
-      continue;
-    LevelRun R = runOne(*POr, C, L, Budget);
-    Divergence D = compareRuns(Res.Runs.front(), R, C.hasFfi());
+
+  for (size_t I = 1; I != Engines.size(); ++I) {
+    LevelRun R = runOne(*POr, C, Engines[I], Budget);
+    Engine RefE = stack::engineRow(R.E).Reference;
+    const LevelRun &Ref = *std::find_if(
+        Res.Runs.begin(), Res.Runs.end(),
+        [&](const LevelRun &Run) { return Run.E == RefE; });
+    Divergence D = compareRuns(Ref, R, C.hasFfi());
     Res.Runs.push_back(std::move(R));
     if (D.found() && !Res.Diff.found())
       Res.Diff = D;
     else if (D.Kind == DiffKind::Inconclusive &&
              Res.Diff.Kind == DiffKind::None)
       Res.Diff = D; // counted, but a later real divergence still wins
-  }
-  if (O.CompareCompiled) {
-    // The Compiled-vs-Verilog differential level: locate (or add) the
-    // interpreted Verilog run, then the same image again with the
-    // compiled simulator backend, compared exactly (both sides are the
-    // hardware, so no asymmetry is masked).
-    size_t VIdx = Res.Runs.size();
-    for (size_t I = 0; I != Res.Runs.size(); ++I)
-      if (Res.Runs[I].L == Level::Verilog && !Res.Runs[I].Compiled)
-        VIdx = I;
-    if (VIdx == Res.Runs.size()) {
-      LevelRun V = runOne(*POr, C, Level::Verilog, Budget);
-      Divergence D = compareRuns(Res.Runs.front(), V, C.hasFfi());
-      Res.Runs.push_back(std::move(V));
-      if (D.found() && !Res.Diff.found())
-        Res.Diff = D;
-    }
-    LevelRun CR = runOne(*POr, C, Level::Verilog, Budget, /*Jit=*/false,
-                         /*Compiled=*/true);
-    Divergence D = compareCompiled(Res.Runs[VIdx], CR);
-    Res.Runs.push_back(std::move(CR));
-    if (D.found() && !Res.Diff.found())
-      Res.Diff = D;
   }
   return Res;
 }

@@ -7,40 +7,28 @@
 ///
 /// \file
 /// The differential oracle of the conformance fuzzer: runs one generated
-/// case (fuzz/Generator.h) at several Figure-1 levels through
-/// stack::Executor and decides whether they agree.  Agreement means
+/// case (fuzz/Generator.h) on several engines (stack::Engine) through
+/// stack::Executor and decides whether each agrees with its reference
+/// engine.  Agreement means
 ///
 ///  - the same run status (completed vs budget timeout vs error),
 ///  - the same observable behaviour (stdout, stderr, exit code,
 ///    termination),
-///  - the same retire stream (pc, opcode) — Isa vs Rtl/Verilog, and
-///  - the same final architectural state (stack::StateDigest).
+///  - the same retire stream (pc, opcode), and
+///  - the same final architectural state (stack::StateDigest),
 ///
-/// Two systematic asymmetries of the stack are normalised before
-/// comparing (both are documented invariants, not bugs):
+/// up to the asymmetries the engine table's rule (stack::Agreement)
+/// names: the hardware's extra halt retire, and the machine level's FFI
+/// interference oracle.  The generator's epilogue materialises the flags
+/// into r43/r44, so a flag divergence masked by the halt-retire rule is
+/// still caught through the register file; it also re-normalises the
+/// flags after every FFI call, so they stay unmasked at the machine level.
 ///
-///  1. The halt self-jump.  isa::run stops *at* the halt instruction;
-///     the hardware levels retire it once more, which appends one retire
-///     event and clobbers the link register and the ALU flags.  The
-///     oracle trims that final retire and masks r63/carry/overflow —
-///     the generator's epilogue materialises the flags into r43/r44
-///     first, so a real flag divergence is still caught through the
-///     register file.
-///
-///  2. The FFI interference oracle.  The Machine level replaces each
-///     run of installed syscall code with one oracle step that zeroes
-///     the clobbered registers (machine/MachineSem.cpp), so for cases
-///     that make FFI calls the Machine digest is compared with the
-///     syscall clobber set masked, and Machine retire streams are never
-///     compared against the ISA's.  (The post-call *flags* are
-///     level-dependent too; the generator re-normalises them after
-///     every call, so they stay unmasked here.)
-///
-/// Protocol: the Isa level runs first with the full budget.  If it
+/// Protocol: the isa engine runs first with the full budget.  If it
 /// times out the case is Inconclusive (nothing to compare against, and
 /// it keeps runaway loops away from the slow cycle-accurate levels);
-/// otherwise every other requested level runs with a budget just above
-/// the ISA instruction count, so a diverging level that runs off into a
+/// otherwise every other requested engine runs with a budget just above
+/// the ISA instruction count, so a diverging engine that runs off into a
 /// loop is cut short cheaply and reported as a status mismatch.
 ///
 //===----------------------------------------------------------------------===//
@@ -57,14 +45,14 @@
 namespace silver {
 namespace fuzz {
 
-/// What one level did with the case.
+/// What one engine did with the case.
 struct LevelRun {
-  stack::Level L = stack::Level::Isa;
-  bool Jit = false; ///< ran at Isa with the JIT backend (Jit-vs-Isa level)
-  /// Ran at Verilog with the compiled simulator backend (the
-  /// Compiled-vs-Verilog differential level).
-  bool Compiled = false;
+  stack::Engine E = stack::Engine::Isa;
   bool Ran = false;
+  /// Retires holds the run's retire stream.  The JIT run is not traced:
+  /// per-step retire events would force every block back to the
+  /// interpreter.
+  bool Traced = false;
   bool Errored = false; ///< the executor reported an error (fault, ...)
   std::string ErrorMessage;
   stack::RunStatus Status = stack::RunStatus::Completed;
@@ -84,15 +72,11 @@ enum class DiffKind : uint8_t {
 };
 const char *diffKindName(DiffKind K);
 
-/// A divergence between the reference level and another level.
+/// A divergence between an engine and its reference engine.
 struct Divergence {
   DiffKind Kind = DiffKind::None;
-  stack::Level Ref = stack::Level::Isa;
-  stack::Level Other = stack::Level::Isa;
-  bool OtherJit = false;  ///< Other ran at Isa with the JIT backend
-  /// Other ran at Verilog with the compiled simulator backend (the
-  /// reference side is then the interpreted Verilog run).
-  bool OtherCompiled = false;
+  stack::Engine Ref = stack::Engine::Isa;
+  stack::Engine Other = stack::Engine::Isa;
   std::string Detail;     ///< human-readable description
   uint64_t RetireAt = 0;  ///< Retire: first differing index
 
@@ -100,7 +84,7 @@ struct Divergence {
     return Kind != DiffKind::None && Kind != DiffKind::Inconclusive;
   }
   /// Stable identity used by the shrinker to reject candidates that
-  /// trade one bug for another: the kind plus the level pair.
+  /// trade one bug for another: the kind plus the engine pair.
   std::string fingerprint() const;
 };
 
@@ -111,27 +95,22 @@ struct OracleOptions {
   std::vector<stack::Level> Levels = {stack::Level::Machine,
                                       stack::Level::Rtl};
   uint64_t MaxSteps = 100'000; ///< ISA instruction budget
-  /// Also run the case at Level::Isa with the JIT backend
-  /// (stack::BackendKind::Jit) and compare it against the interpreter
-  /// exactly — the Jit-vs-Isa differential level.  On hosts without
+  /// Also run the jit engine and compare it with isa.  On hosts without
   /// native JIT support the run degrades to the interpreter, so the
   /// comparison is trivially green rather than an error.
   bool CompareJit = false;
-  /// Also run the case at Level::Verilog with the compiled simulator
-  /// backend (stack::HdlBackendKind::Compiled) and compare it against
-  /// the interpreted Verilog run exactly — status, behaviour including
-  /// instruction and cycle counts, the full retire stream, and the
-  /// digest, with no masking: both sides are the same hardware
-  /// semantics.  Adds the interpreted Verilog run if Levels does not
-  /// already request it.  On hosts without a usable C++ compiler the
-  /// run degrades to the interpreter, so the comparison is trivially
-  /// green rather than an error.
+  /// Also run the verilog-compiled engine and compare it with verilog,
+  /// which runs even when Levels does not request it.  On hosts without
+  /// a usable C++ compiler the run degrades to the interpreter, so the
+  /// comparison is trivially green rather than an error.
   bool CompareCompiled = false;
 };
 
 struct OracleResult {
   Divergence Diff;
-  std::vector<LevelRun> Runs; ///< reference first, then OracleOptions order
+  /// isa first, then jit, Levels in order (plus verilog when only
+  /// CompareCompiled asks for it), and verilog-compiled.
+  std::vector<LevelRun> Runs;
   uint64_t IsaInstructions = 0;
 };
 
@@ -140,7 +119,12 @@ struct OracleResult {
 /// "ffi_dispatch" bound to the installed dispatcher.
 Result<stack::Prepared> prepareCase(const CaseSpec &C);
 
-/// Runs \p C at the requested levels and compares.  The error return is
+/// Compares \p R with the run \p Ref of its reference engine under the
+/// engine table's rule for R.E.  \p HasFfi: the case calls FFI, so the
+/// FfiOracle rule masks the syscall clobber set.
+Divergence compareRuns(const LevelRun &Ref, const LevelRun &R, bool HasFfi);
+
+/// Runs \p C on the requested engines and compares.  The error return is
 /// for broken cases (assembly failure); level-side errors are part of
 /// the comparison, not errors of runCase.
 Result<OracleResult> runCase(const CaseSpec &C, const OracleOptions &O);

@@ -40,7 +40,7 @@ void Counters::mergeFrom(const Counters &Other) {
   }
 }
 
-void Counters::onRunBegin(ExecLevel L) {
+void Counters::onRunBegin(stack::Level L) {
   Level = L;
   InFfi = false;
 }
@@ -98,7 +98,7 @@ std::string Counters::report() const {
   std::string Out;
   std::snprintf(Line, sizeof(Line),
                 "level: %s\ninstructions: %llu\ncycles: %llu\nCPI: %.3f\n",
-                execLevelName(Level), (unsigned long long)Retired,
+                stack::levelName(Level), (unsigned long long)Retired,
                 (unsigned long long)Cycles, cpi());
   Out += Line;
   Out += "region traffic (loads/stores):\n";
@@ -132,7 +132,7 @@ std::string Counters::report() const {
 std::string Counters::toJson() const {
   char Buf[96];
   std::string Out = "{";
-  Out += "\"level\":\"" + std::string(execLevelName(Level)) + "\"";
+  Out += "\"level\":\"" + std::string(stack::levelName(Level)) + "\"";
   std::snprintf(Buf, sizeof(Buf), ",\"instructions\":%llu,\"cycles\":%llu",
                 (unsigned long long)Retired, (unsigned long long)Cycles);
   Out += Buf;

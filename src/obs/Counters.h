@@ -74,7 +74,7 @@ public:
   std::string toJson() const;
 
   // Observer implementation.
-  void onRunBegin(ExecLevel L) override;
+  void onRunBegin(stack::Level L) override;
   void onRetire(const RetireEvent &E) override;
   void onMem(const MemEvent &E) override;
   void onFfi(const FfiEvent &E) override;
@@ -86,7 +86,7 @@ private:
 
   RegionMap Map;
   std::vector<std::string> FfiNames;
-  ExecLevel Level = ExecLevel::Isa;
+  stack::Level Level = stack::Level::Isa;
   bool InFfi = false;
   unsigned FfiIndex = 0;
   uint64_t FfiEntryRetired = 0;

@@ -12,22 +12,6 @@
 using namespace silver;
 using namespace silver::obs;
 
-const char *silver::obs::execLevelName(ExecLevel L) {
-  switch (L) {
-  case ExecLevel::Spec:
-    return "spec";
-  case ExecLevel::Machine:
-    return "machine-sem";
-  case ExecLevel::Isa:
-    return "isa";
-  case ExecLevel::Rtl:
-    return "rtl";
-  case ExecLevel::Verilog:
-    return "verilog";
-  }
-  return "?";
-}
-
 const char *silver::obs::regionName(Region R) {
   switch (R) {
   case Region::Startup:
@@ -73,14 +57,14 @@ Region RegionMap::classify(Word Addr) const {
 }
 
 Observer::~Observer() = default;
-void Observer::onRunBegin(ExecLevel) {}
+void Observer::onRunBegin(stack::Level) {}
 void Observer::onRetire(const RetireEvent &) {}
 void Observer::onMem(const MemEvent &) {}
 void Observer::onFfi(const FfiEvent &) {}
 void Observer::onCycle(uint64_t) {}
 void Observer::onRunEnd() {}
 
-void MultiObserver::onRunBegin(ExecLevel L) {
+void MultiObserver::onRunBegin(stack::Level L) {
   for (Observer *O : Sinks)
     O->onRunBegin(L);
 }

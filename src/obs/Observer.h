@@ -32,6 +32,7 @@
 #ifndef SILVER_OBS_OBSERVER_H
 #define SILVER_OBS_OBSERVER_H
 
+#include "obs/Level.h"
 #include "support/Bits.h"
 
 #include <cstdint>
@@ -40,11 +41,6 @@
 
 namespace silver {
 namespace obs {
-
-/// Execution level emitting the events (Figure 1).  Mirrors stack::Level
-/// (stack sits above obs and converts).
-enum class ExecLevel : uint8_t { Spec, Machine, Isa, Rtl, Verilog };
-const char *execLevelName(ExecLevel L);
 
 /// Memory-region buckets, following the paper's Figure 2 image layout.
 enum class Region : uint8_t {
@@ -114,7 +110,7 @@ public:
   virtual ~Observer();
 
   /// A run at \p L starts.  Always paired with onRunEnd.
-  virtual void onRunBegin(ExecLevel L);
+  virtual void onRunBegin(stack::Level L);
   virtual void onRetire(const RetireEvent &E);
   virtual void onMem(const MemEvent &E);
   virtual void onFfi(const FfiEvent &E);
@@ -131,7 +127,7 @@ public:
       : Sinks(std::move(Sinks)) {}
   void add(Observer *O) { Sinks.push_back(O); }
 
-  void onRunBegin(ExecLevel L) override;
+  void onRunBegin(stack::Level L) override;
   void onRetire(const RetireEvent &E) override;
   void onMem(const MemEvent &E) override;
   void onFfi(const FfiEvent &E) override;

@@ -13,7 +13,7 @@
 using namespace silver;
 using namespace silver::obs;
 
-void TraceSink::onRunBegin(ExecLevel L) {
+void TraceSink::onRunBegin(stack::Level L) {
   Level = L;
   Cycles = 0;
   Retired = 0;
@@ -120,7 +120,7 @@ void TraceSink::writeChromeTrace(std::ostream &Out) const {
                 "\"args\":{\"name\":\"silverstack\"}},\n"
                 "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,"
                 "\"args\":{\"name\":\"%s (%s)\"}}",
-                execLevelName(Level), HasClock ? "cycles" : "instructions");
+                stack::levelName(Level), HasClock ? "cycles" : "instructions");
   Out << Line;
 
   unsigned OpenFfi = 0;

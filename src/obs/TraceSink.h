@@ -66,7 +66,7 @@ public:
   void writeChromeTrace(std::ostream &Out) const;
 
   // Observer implementation.
-  void onRunBegin(ExecLevel L) override;
+  void onRunBegin(stack::Level L) override;
   void onRetire(const RetireEvent &E) override;
   void onMem(const MemEvent &E) override;
   void onFfi(const FfiEvent &E) override;
@@ -83,7 +83,7 @@ private:
   uint64_t Dropped = 0;
   uint64_t Cycles = 0;
   uint64_t Retired = 0;
-  ExecLevel Level = ExecLevel::Isa;
+  stack::Level Level = stack::Level::Isa;
 };
 
 } // namespace obs

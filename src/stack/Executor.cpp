@@ -28,22 +28,6 @@ const char *silver::stack::runStatusName(RunStatus S) {
   return "?";
 }
 
-static obs::ExecLevel toExecLevel(Level L) {
-  switch (L) {
-  case Level::Spec:
-    return obs::ExecLevel::Spec;
-  case Level::Machine:
-    return obs::ExecLevel::Machine;
-  case Level::Isa:
-    return obs::ExecLevel::Isa;
-  case Level::Rtl:
-    return obs::ExecLevel::Rtl;
-  case Level::Verilog:
-    return obs::ExecLevel::Verilog;
-  }
-  return obs::ExecLevel::Spec;
-}
-
 //===----------------------------------------------------------------------===//
 // Per-level sessions
 //===----------------------------------------------------------------------===//
@@ -333,7 +317,7 @@ Result<void> Executor::begin(Level L) {
   InstrBudgetLeft = Spec.Exec.MaxSteps;
   LastStatus = RunStatus::Paused;
   if (Obs)
-    Obs->onRunBegin(toExecLevel(L));
+    Obs->onRunBegin(L);
   // Balance onRunBegin even when session setup fails.
   auto Fail = [&](const Error &E) -> Result<void> {
     if (Obs)
@@ -366,12 +350,12 @@ Result<void> Executor::begin(Level L) {
     // integer; the per-cycle/per-step paths only ever compare counters.
     uint64_t Cycles = cycleBudget();
     cpu::RunOptions Options;
-    Options.Level =
-        L == Level::Verilog ? cpu::SimLevel::Verilog : cpu::SimLevel::Circuit;
+    Options.Level = L == Level::Rtl ? cpu::SimLevel::Circuit
+                    : Spec.Exec.Hdl == HdlBackendKind::Compiled
+                        ? cpu::SimLevel::VerilogCompiled
+                        : cpu::SimLevel::Verilog;
     Options.MaxCycles = Cycles;
     Options.Obs = Obs;
-    Options.CompiledVerilog = L == Level::Verilog &&
-                              Spec.Exec.Hdl == HdlBackendKind::Compiled;
     Result<std::unique_ptr<cpu::CoreRunner>> Runner =
         cpu::CoreRunner::create(Image.take(), Options);
     if (!Runner)
@@ -463,7 +447,7 @@ Result<Outcome> Executor::run(Level L) {
     // The reference interpreter: no machine steps, a single observable
     // behaviour.  Bracketed so counters/traces still see the run.
     if (Obs)
-      Obs->onRunBegin(obs::ExecLevel::Spec);
+      Obs->onRunBegin(Level::Spec);
     Result<Observed> R = runSpecLevel(Spec);
     if (Obs)
       Obs->onRunEnd();

@@ -71,20 +71,9 @@ bool silver::stack::hdlBackendSupported(HdlBackendKind B) {
   return B == HdlBackendKind::Interp || hdl::compiledSimAvailable();
 }
 
-const char *silver::stack::levelName(Level L) {
-  switch (L) {
-  case Level::Spec:
-    return "spec";
-  case Level::Machine:
-    return "machine-sem";
-  case Level::Isa:
-    return "isa";
-  case Level::Rtl:
-    return "rtl";
-  case Level::Verilog:
-    return "verilog";
-  }
-  return "?";
+bool silver::stack::engineSupported(Engine E) {
+  return backendSupported(engineRow(E).Backend) &&
+         hdlBackendSupported(engineRow(E).Hdl);
 }
 
 bool silver::stack::parseLevel(const std::string &Name, Level &Out) {

@@ -31,6 +31,7 @@
 #include "analysis/ImageAudit.h"
 #include "cml/Compiler.h"
 #include "machine/MachineSem.h"
+#include "obs/Level.h"
 #include "support/Result.h"
 #include "sys/Image.h"
 
@@ -105,14 +106,80 @@ struct RunSpec {
   ExecOptions Exec;
 };
 
-/// Execution level (Figure 1).
-enum class Level : uint8_t { Spec, Machine, Isa, Rtl, Verilog };
-const char *levelName(Level L);
-
 /// Parses a CLI level spelling (spec, machine, isa, rtl, verilog);
 /// returns false when \p Name is unknown.  Note the CLI spelling of
 /// Machine is "machine", while levelName reports "machine-sem".
 bool parseLevel(const std::string &Name, Level &Out);
+
+/// How a run of an engine is compared with a run of its reference
+/// engine (fuzz::compareRuns).  Both runs start from the same image; the
+/// rule names the systematic asymmetries between the two engines, which
+/// are masked rather than reported.
+enum class Agreement : uint8_t {
+  /// Same level, same semantics: status, behaviour including the
+  /// instruction and cycle counts, the full retire stream when both runs
+  /// were traced, and the final state digest, with nothing masked.
+  Exact,
+  /// The core against isa: isa stops *at* the halt self-jump, while the
+  /// core retires it once more.  One extra final retire at the
+  /// reference's halt pc is trimmed, and the registers it clobbers (r63,
+  /// carry, overflow) are masked.
+  HaltRetire,
+  /// machine-sem against isa: each FFI call is one oracle step that
+  /// zeroes the syscall clobber set, where isa runs the installed syscall
+  /// code.  No retire stream is compared, and when the case calls FFI the
+  /// clobber set (sys::syscallClobberedRegs) is masked.
+  FfiOracle,
+};
+
+/// One execution engine: a Figure-1 level stepped by one backend.  The
+/// order is the report order of silver-fuzz's work lines.
+enum class Engine : uint8_t {
+  MachineSem,
+  Isa,
+  Rtl,
+  Verilog,
+  Jit,
+  VerilogCompiled
+};
+constexpr size_t NumEngines = 6;
+
+/// What an engine runs, and what it is validated against.
+struct EngineRow {
+  const char *Name; ///< report, fingerprint and bench-row name
+  Level L;
+  BackendKind Backend;
+  HdlBackendKind Hdl;
+  Engine Reference; ///< the engine a run is compared with
+  Agreement Rule;   ///< how it is compared
+};
+
+/// The engine table, indexed by Engine.  isa is the trusted reference of
+/// every engine but verilog-compiled, which is checked against the
+/// interpreted Verilog it compiles.
+inline constexpr EngineRow EngineTable[NumEngines] = {
+    {"machine-sem", Level::Machine, BackendKind::Interp,
+     HdlBackendKind::Interp, Engine::Isa, Agreement::FfiOracle},
+    {"isa", Level::Isa, BackendKind::Interp, HdlBackendKind::Interp,
+     Engine::Isa, Agreement::Exact},
+    {"rtl", Level::Rtl, BackendKind::Interp, HdlBackendKind::Interp,
+     Engine::Isa, Agreement::HaltRetire},
+    {"verilog", Level::Verilog, BackendKind::Interp, HdlBackendKind::Interp,
+     Engine::Isa, Agreement::HaltRetire},
+    {"jit", Level::Isa, BackendKind::Jit, HdlBackendKind::Interp,
+     Engine::Isa, Agreement::Exact},
+    {"verilog-compiled", Level::Verilog, BackendKind::Interp,
+     HdlBackendKind::Compiled, Engine::Verilog, Agreement::Exact},
+};
+
+inline const EngineRow &engineRow(Engine E) {
+  return EngineTable[static_cast<size_t>(E)];
+}
+inline const char *engineName(Engine E) { return engineRow(E).Name; }
+
+/// The support probe: true when \p E runs natively on this host.  A false
+/// answer means its runs fall back to the interpreter of the same level.
+bool engineSupported(Engine E);
 
 /// Observable outcome of one run.
 struct Observed {

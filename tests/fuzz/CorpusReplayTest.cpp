@@ -1,7 +1,7 @@
 //===- tests/fuzz/CorpusReplayTest.cpp - committed-corpus regression --------===//
 //
 // Replays every reproducer committed under tests/fuzz/corpus/ through
-// the full differential oracle (Machine, Isa, Rtl, Verilog).  The
+// the full differential oracle (Machine, Isa, Rtl, Verilog, and the JIT).  The
 // committed corpus holds minimized cases from past campaigns plus
 // representative generated programs; a replay failure means a
 // once-agreed case diverges again.
@@ -23,6 +23,7 @@ TEST(CorpusReplay, CommittedReproducersStillAgree) {
   OracleOptions O;
   O.Levels = {stack::Level::Machine, stack::Level::Rtl,
               stack::Level::Verilog};
+  O.CompareJit = true;
 
   std::vector<std::string> Files = listCorpus(SILVER_FUZZ_CORPUS_DIR);
   ASSERT_FALSE(Files.empty())

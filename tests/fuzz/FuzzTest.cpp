@@ -7,9 +7,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Fuzzer.h"
+#include "machine/MachineSem.h"
+#include "sys/Syscalls.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 using namespace silver;
@@ -101,6 +104,84 @@ TEST(Oracle, VerilogLevelAgreesOnASample) {
       continue;
     EXPECT_FALSE(R->Diff.found())
         << R->Diff.fingerprint() << " — " << R->Diff.Detail;
+  }
+}
+
+TEST(Oracle, CompareRunsFollowsTheEngineTableRule) {
+  // Synthetic run pairs, one per row: the reference run of the engine's
+  // reference, a copy of it for the engine, then one planted difference.
+  LevelRun Base;
+  Base.Ran = true;
+  Base.Traced = true;
+  Base.Behaviour.StdoutData = "ok";
+  Base.Behaviour.Terminated = true;
+  Base.Behaviour.Instructions = 3;
+  Base.Digest.Pc = 0x108;
+  for (unsigned I = 0; I != isa::NumRegs; ++I)
+    Base.Digest.Regs[I] = 0x1000 + I;
+  Base.Retires = {{0x100, 1}, {0x104, 2}, {0x108, 3}};
+
+  auto HaltRetire = [](LevelRun &Ref, LevelRun &R) {
+    R.Retires.push_back({Ref.Digest.Pc, 3});
+    R.Digest.Regs[isa::NumRegs - 1] ^= 4;
+    R.Digest.Carry = !Ref.Digest.Carry;
+    R.Digest.Overflow = !Ref.Digest.Overflow;
+  };
+  auto Clobber = [](LevelRun &, LevelRun &R) {
+    R.Digest.Regs[sys::syscallClobberedRegs().front()] ^= 1;
+  };
+  auto Counts = [](LevelRun &, LevelRun &R) { ++R.Behaviour.Instructions; };
+  auto OneErrored = [](LevelRun &, LevelRun &R) {
+    R.Errored = true;
+    R.ErrorMessage = "fault";
+  };
+  auto BothErrored = [](LevelRun &Ref, LevelRun &R) {
+    Ref.Errored = R.Errored = true;
+  };
+  auto OracleRejected = [](LevelRun &, LevelRun &R) {
+    R.Errored = true;
+    R.ErrorMessage = machine::OracleRejectedMessage;
+  };
+  using stack::Engine;
+  struct Row {
+    Engine E;
+    bool HasFfi;
+    std::function<void(LevelRun &, LevelRun &)> Plant;
+    DiffKind Want;
+    const char *Fingerprint; ///< checked when Want is a finding
+  };
+  const Row Rows[] = {
+      {Engine::Rtl, false, HaltRetire, DiffKind::None, ""},
+      {Engine::Verilog, false, HaltRetire, DiffKind::None, ""},
+      {Engine::VerilogCompiled, false, HaltRetire, DiffKind::Retire,
+       "retire:verilog:verilog-compiled"},
+      {Engine::MachineSem, true, Clobber, DiffKind::None, ""},
+      {Engine::MachineSem, false, Clobber, DiffKind::State,
+       "state:isa:machine-sem"},
+      {Engine::Jit, false, Clobber, DiffKind::State, "state:isa:jit"},
+      {Engine::Rtl, false, Counts, DiffKind::None, ""},
+      {Engine::Jit, false, Counts, DiffKind::Behaviour, "behaviour:isa:jit"},
+      {Engine::VerilogCompiled, false, Counts, DiffKind::Behaviour,
+       "behaviour:verilog:verilog-compiled"},
+      {Engine::Rtl, false, OneErrored, DiffKind::Status, "status:isa:rtl"},
+      {Engine::VerilogCompiled, false, OneErrored, DiffKind::Status,
+       "status:verilog:verilog-compiled"},
+      {Engine::Verilog, false, BothErrored, DiffKind::None, ""},
+      {Engine::MachineSem, true, OracleRejected, DiffKind::Inconclusive, ""},
+  };
+  for (const Row &T : Rows) {
+    LevelRun Ref = Base;
+    Ref.E = stack::engineRow(T.E).Reference;
+    LevelRun R = Base;
+    R.E = T.E;
+    R.Traced = stack::engineRow(T.E).Backend != stack::BackendKind::Jit;
+    T.Plant(Ref, R);
+    Divergence D = compareRuns(Ref, R, T.HasFfi);
+    EXPECT_STREQ(diffKindName(D.Kind), diffKindName(T.Want))
+        << stack::engineName(T.E) << ": " << D.Detail;
+    if (D.found()) {
+      EXPECT_EQ(D.fingerprint(), T.Fingerprint);
+    }
   }
 }
 

@@ -53,7 +53,7 @@ TEST(SelfCheck, InjectedCarryFaultIsFoundAndShrunk) {
   size_t SmallestShrunk = SIZE_MAX;
   for (const Finding &F : R.Findings) {
     EXPECT_TRUE(F.Diff.found());
-    if (F.Diff.Other == stack::Level::Rtl)
+    if (F.Diff.Other == stack::Engine::Rtl)
       SawRtl = true;
     SmallestShrunk = std::min(SmallestShrunk, F.Shrunk.Items.size());
     EXPECT_TRUE(F.ShrunkDiff.found())

@@ -37,7 +37,7 @@ RegionMap figureTwoMap() {
 
 // Replays the same synthetic event stream into any observer.
 void replayStream(Observer &O) {
-  O.onRunBegin(ExecLevel::Rtl);
+  O.onRunBegin(stack::Level::Rtl);
   for (uint64_t I = 0; I != 8; ++I) {
     O.onCycle(2 * I);
     O.onCycle(2 * I + 1);
@@ -205,7 +205,7 @@ TEST(Counters, MergeIsAssociativeAndCommutative) {
 TEST(Counters, CpiDegenerateCases) {
   Counters C;
   EXPECT_DOUBLE_EQ(C.cpi(), 0.0); // nothing retired
-  C.onRunBegin(ExecLevel::Isa);
+  C.onRunBegin(stack::Level::Isa);
   RetireEvent R;
   C.onRetire(R);
   C.onRunEnd();
