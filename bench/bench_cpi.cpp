@@ -24,6 +24,21 @@ using isa::Operand;
 
 namespace {
 
+/// Runs \p Image on the core until it halts; returns cycles per
+/// instruction.
+Result<double> runCpi(const sys::MemoryImage &Image,
+                      const cpu::RunOptions &Options) {
+  Result<cpu::CoreRunner> R = cpu::CoreRunner::create(Image, Options);
+  if (!R)
+    return R.error();
+  Result<cpu::CoreStop> Stop = R->advance(UINT64_MAX, Options.MaxCycles);
+  if (!Stop)
+    return Stop.error();
+  if (*Stop != cpu::CoreStop::Halted)
+    return Error("core run did not halt");
+  return static_cast<double>(R->cycles()) / R->instructions();
+}
+
 /// Runs raw instructions on the circuit-level core and reports CPI.
 void measureCpi(benchmark::State &State,
                 const std::vector<Instruction> &Body, unsigned Latency) {
@@ -53,16 +68,13 @@ void measureCpi(benchmark::State &State,
   Options.Env.MemLatency = Latency;
   Options.MaxCycles = 10'000'000;
 
-  double Cpi = 0;
-  for (auto _ : State) {
-    Result<cpu::CoreRunResult> R = cpu::runCore(Image, Options);
-    if (!R || !R->Halted) {
-      State.SkipWithError("core run failed");
+  Result<double> Cpi = 0.0;
+  for (auto _ : State)
+    if (!(Cpi = runCpi(Image, Options))) {
+      State.SkipWithError(Cpi.error().str().c_str());
       return;
     }
-    Cpi = static_cast<double>(R->Cycles) / R->Instructions;
-  }
-  State.counters["CPI"] = Cpi;
+  State.counters["CPI"] = *Cpi;
   State.counters["MemLatency"] = Latency;
 }
 
@@ -102,16 +114,13 @@ void BM_CpiHello(benchmark::State &State) {
   cpu::RunOptions Options;
   Options.Env.MemLatency = static_cast<unsigned>(State.range(0));
   Options.MaxCycles = 100'000'000;
-  double Cpi = 0;
-  for (auto _ : State) {
-    Result<cpu::CoreRunResult> R = cpu::runCore(*Image, Options);
-    if (!R || !R->Halted) {
-      State.SkipWithError("core run failed");
+  Result<double> Cpi = 0.0;
+  for (auto _ : State)
+    if (!(Cpi = runCpi(*Image, Options))) {
+      State.SkipWithError(Cpi.error().str().c_str());
       return;
     }
-    Cpi = static_cast<double>(R->Cycles) / R->Instructions;
-  }
-  State.counters["CPI"] = Cpi;
+  State.counters["CPI"] = *Cpi;
   State.counters["MemLatency"] = State.range(0);
 }
 BENCHMARK(BM_CpiHello)->Arg(0)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);

@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cpu/Core.h"
+#include "cpu/Sim.h"
 #include "hdl/FastSim.h"
 #include "rtl/ToVerilog.h"
 #include "support/Rng.h"
@@ -120,8 +120,7 @@ void BM_Silver_CircuitInterp(benchmark::State &State) {
 BENCHMARK(BM_Silver_CircuitInterp);
 
 void BM_Silver_VerilogReference(benchmark::State &State) {
-  cpu::SilverCore Core = cpu::buildSilverCore();
-  Result<hdl::VModule> M = rtl::toVerilog(Core.Circuit);
+  const Result<hdl::VModule> &M = cpu::coreDesign().module();
   if (!M) {
     State.SkipWithError("codegen failed");
     return;
@@ -144,24 +143,19 @@ void BM_Silver_VerilogReference(benchmark::State &State) {
 BENCHMARK(BM_Silver_VerilogReference);
 
 void BM_Silver_VerilogFastSim(benchmark::State &State) {
-  cpu::SilverCore Core = cpu::buildSilverCore();
-  Result<hdl::VModule> M = rtl::toVerilog(Core.Circuit);
-  if (!M) {
-    State.SkipWithError("codegen failed");
-    return;
-  }
-  Result<std::unique_ptr<hdl::FastSim>> Sim = hdl::FastSim::compile(*M);
-  if (!Sim) {
+  const auto &Program = cpu::coreDesign().fastProgram();
+  if (!Program) {
     State.SkipWithError("elaboration failed");
     return;
   }
+  hdl::FastSim Sim(*Program);
   auto In = coreInputs();
-  std::vector<uint64_t> Frame((*Sim)->numInputs());
+  std::vector<uint64_t> Frame(Sim.numInputs());
   for (size_t K = 0; K != Frame.size(); ++K)
-    Frame[K] = In.at((*Sim)->inputName(K));
+    Frame[K] = In.at(Sim.inputName(K));
   uint64_t Cycles = 0;
   for (auto _ : State) {
-    benchmark::DoNotOptimize((*Sim)->stepDense(Frame.data(), Frame.size()));
+    benchmark::DoNotOptimize(Sim.stepDense(Frame.data(), Frame.size()));
     ++Cycles;
   }
   State.counters["CyclesPerSec"] = benchmark::Counter(

@@ -1,18 +1,17 @@
 //===- examples/export_verilog.cpp - Print the synthesisable Silver core -------===//
 //
-// Builds the Silver core at the circuit level, runs the code generator to
-// the deeply embedded Verilog AST, type-checks it (the vars_has_type
-// obligation), and pretty-prints the synthesisable SystemVerilog — the
-// artefact the paper feeds to Vivado for the PYNQ-Z1 board.  Writes
-// silver_cpu.sv to the current directory and prints a summary.
+// Prints the Silver core's Verilog module: the circuit, the deeply
+// embedded Verilog AST generated from it and type-checked (the
+// vars_has_type obligation), all from the one shared design
+// (cpu::coreDesign()), pretty-printed as the synthesisable SystemVerilog
+// the paper feeds to Vivado for the PYNQ-Z1 board.  Writes silver_cpu.sv
+// to the current directory and prints a summary.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/VerilogLint.h"
-#include "cpu/Core.h"
+#include "cpu/Sim.h"
 #include "hdl/Printer.h"
-#include "hdl/Semantics.h"
-#include "rtl/ToVerilog.h"
 
 #include <cstdio>
 #include <fstream>
@@ -20,22 +19,14 @@
 using namespace silver;
 
 int main() {
-  cpu::SilverCore Core = cpu::buildSilverCore();
-  if (Result<void> V = Core.Circuit.validate(); !V) {
-    std::fprintf(stderr, "circuit invalid: %s\n", V.error().str().c_str());
-    return 1;
-  }
-  Result<hdl::VModule> Module = rtl::toVerilog(Core.Circuit);
+  const cpu::CoreDesign &Design = cpu::coreDesign();
+  const Result<hdl::VModule> &Module = Design.module();
   if (!Module) {
-    std::fprintf(stderr, "codegen failed: %s\n",
+    std::fprintf(stderr, "export_verilog: %s\n",
                  Module.error().str().c_str());
     return 1;
   }
-  if (Result<void> T = hdl::typeCheck(*Module); !T) {
-    std::fprintf(stderr, "vars_has_type failed: %s\n",
-                 T.error().str().c_str());
-    return 1;
-  }
+  const rtl::Circuit &Circuit = Design.core()->Circuit;
   std::vector<analysis::LintDiag> Diags = analysis::lintModule(*Module);
   if (!Diags.empty()) {
     for (const analysis::LintDiag &D : Diags)
@@ -48,8 +39,8 @@ int main() {
   Out.close();
 
   std::printf("circuit: %zu nodes, %zu registers, %zu memories\n",
-              Core.Circuit.Nodes.size(), Core.Circuit.Regs.size(),
-              Core.Circuit.Mems.size());
+              Circuit.Nodes.size(), Circuit.Regs.size(),
+              Circuit.Mems.size());
   std::printf("module:  %zu declarations, %zu processes, lint clean, "
               "%zu bytes of SystemVerilog -> silver_cpu.sv\n",
               Module->Decls.size(), Module->Processes.size(), Text.size());

@@ -222,11 +222,11 @@ int main(int Argc, char **Argv) {
               << rate(Report.CasesRun, Report.WallSeconds) << " cases/s\n";
     for (const fuzz::LevelWork &W : Report.Work) {
       std::cout << "  " << stack::engineName(W.E) << ": " << W.Instructions
-                << " instrs (" << rate(W.Instructions, Report.WallSeconds)
+                << " instrs (" << rate(W.Instructions, W.Seconds)
                 << " instrs/s)";
       if (W.Cycles != 0)
         std::cout << ", " << W.Cycles << " cycles ("
-                  << rate(W.Cycles, Report.WallSeconds) << " cycles/s)";
+                  << rate(W.Cycles, W.Seconds) << " cycles/s)";
       std::cout << "\n";
     }
   }

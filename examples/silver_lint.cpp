@@ -22,8 +22,7 @@
 #include "analysis/Diagnostic.h"
 #include "analysis/JitReadiness.h"
 #include "analysis/VerilogLint.h"
-#include "cpu/Core.h"
-#include "rtl/ToVerilog.h"
+#include "cpu/Sim.h"
 #include "stack/Stack.h"
 
 #include <cstdio>
@@ -49,8 +48,7 @@ void setSubject(analysis::Diagnostic &D, const std::string &Context) {
 /// Lints the generated core module into \p Out; returns false on a
 /// build failure (reported on stderr).
 bool lintCoreHdl(std::vector<analysis::Diagnostic> &Out, bool Json) {
-  cpu::SilverCore Core = cpu::buildSilverCore();
-  Result<hdl::VModule> Module = rtl::toVerilog(Core.Circuit);
+  const Result<hdl::VModule> &Module = cpu::coreDesign().module();
   if (!Module) {
     std::fprintf(stderr, "silver-lint: hdl: %s\n",
                  Module.error().str().c_str());

@@ -12,44 +12,31 @@
 #include "isa/Interp.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
+
 using namespace silver;
 using namespace silver::cpu;
-
-static Result<std::unique_ptr<CoreSim>> makeSim(const SilverCore &Core,
-                                                const RunOptions &Options) {
-  if (Options.Level == SimLevel::Circuit) {
-    std::unique_ptr<CoreSim> S = makeCircuitSim(Core);
-    return S;
-  }
-  VerilogSimOptions V;
-  V.Compiled = Options.Level == SimLevel::VerilogCompiled;
-  return makeVerilogSim(Core, V);
-}
 
 //===----------------------------------------------------------------------===//
 // CoreRunner
 //===----------------------------------------------------------------------===//
 
-CoreRunner::CoreRunner(sys::MemoryImage Image, const RunOptions &Options)
-    : Core(buildSilverCore()),
+CoreRunner::CoreRunner(std::unique_ptr<CoreSim> SimIn, sys::MemoryImage Image,
+                       const RunOptions &Options)
+    : Sim(std::move(SimIn)),
       Env(std::move(Image.Memory), Image.Layout, Options.Env),
-      Layout(Image.Layout), Opt(Options) {}
-
-CoreRunner::~CoreRunner() = default;
-
-Result<std::unique_ptr<CoreRunner>>
-CoreRunner::create(sys::MemoryImage Image, const RunOptions &Options) {
-  // Heap-allocate first: the simulator keeps a reference to this->Core.
-  std::unique_ptr<CoreRunner> R(new CoreRunner(std::move(Image), Options));
-  if (Result<void> V = R->Core.Circuit.validate(); !V)
-    return V.error();
-  Result<std::unique_ptr<CoreSim>> SimOr = makeSim(R->Core, Options);
-  if (!SimOr)
-    return SimOr.error();
-  R->Sim = SimOr.take();
+      Layout(Image.Layout), Opt(Options) {
   if (Options.Obs)
-    R->Sim->attachCycleObserver(Options.Obs);
-  return R;
+    Sim->attachCycleObserver(Options.Obs);
+}
+
+Result<CoreRunner> CoreRunner::create(sys::MemoryImage Image,
+                                      const RunOptions &Options) {
+  Result<std::unique_ptr<CoreSim>> Sim =
+      coreDesign().instantiate(Options.Level);
+  if (!Sim)
+    return Sim.error();
+  return CoreRunner(Sim.take(), std::move(Image), Options);
 }
 
 Result<CoreStop> CoreRunner::advance(uint64_t MaxInstructions,
@@ -169,31 +156,19 @@ CoreRunResult CoreRunner::result() const {
   return R;
 }
 
-Result<CoreRunResult> silver::cpu::runCore(sys::MemoryImage Image,
-                                           const RunOptions &Options) {
-  Result<std::unique_ptr<CoreRunner>> RunnerOr =
-      CoreRunner::create(std::move(Image), Options);
-  if (!RunnerOr)
-    return RunnerOr.error();
-  CoreRunner &Runner = **RunnerOr;
-  Result<CoreStop> Stop = Runner.advance(UINT64_MAX, Options.MaxCycles);
-  if (!Stop)
-    return Stop.error();
-  return Runner.result();
-}
-
 Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
                                           uint64_t MaxInstructions,
                                           const RunOptions &Options,
                                           const sys::MemoryLayout *Layout) {
-  SilverCore Core = buildSilverCore();
-  if (Result<void> V = Core.Circuit.validate(); !V)
-    return V.error();
-  Result<std::unique_ptr<CoreSim>> SimOr = makeSim(Core, Options);
-  if (!SimOr)
-    return SimOr.error();
-  CoreSim &Sim = **SimOr;
-  Sim.primeArchState(Initial);
+  sys::MemoryImage Image;
+  Image.Memory = Initial.Memory;
+  if (Layout)
+    Image.Layout = *Layout;
+  Result<CoreRunner> RunnerOr = CoreRunner::create(std::move(Image), Options);
+  if (!RunnerOr)
+    return RunnerOr.error();
+  CoreRunner &Runner = *RunnerOr;
+  Runner.primeArchState(Initial);
 
   // The ISA side: its own copy of the machine state and environment,
   // stepped retire by retire with the reference Next function itself
@@ -205,16 +180,8 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
     SysEnv = std::make_unique<sys::SysEnv>(*Layout);
   isa::IsaEnv &IsaEnv = SysEnv ? *SysEnv : isa::nullEnv();
 
-  LabEnv Env(Initial.Memory,
-             Layout ? *Layout : sys::MemoryLayout{}, Options.Env);
-
-  uint64_t Instructions = 0;
-  uint64_t Cycles = 0;
-  CoreInputs Inputs;
-  CoreOutputs Outputs;
-
   auto CompareArch = [&](uint64_t At) -> Result<void> {
-    ArchState A = Sim.archState();
+    ArchState A = Runner.archState();
     if (A.Pc != Isa.PC)
       return Error("instruction " + std::to_string(At) + ": PC " +
                    toHex(A.Pc) + " vs ISA " + toHex(Isa.PC));
@@ -231,22 +198,24 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
     return {};
   };
 
-  while (Instructions < MaxInstructions) {
-    if (isa::isHalted(Isa))
-      break;
-    if (Cycles > Options.MaxCycles)
+  uint64_t Instructions = 0;
+  // The core's halt self-loop ends the check as the ISA halt does.
+  while (Instructions < MaxInstructions && !isa::isHalted(Isa) &&
+         !Runner.halted()) {
+    // One implementation retire corresponds to one ISA Next step.
+    uint64_t CyclesLeft = Options.MaxCycles - std::min(Options.MaxCycles,
+                                                       Runner.cycles());
+    Result<CoreStop> Stop = Runner.advance(1, CyclesLeft);
+    if (!Stop)
+      return Stop.error();
+    if (*Stop == CoreStop::CycleBudget)
       return Error("cycle budget exhausted before instruction " +
                    std::to_string(Instructions));
-    Env.inputsForCycle(Inputs);
-    if (Result<void> S = Sim.stepDense(Inputs, Outputs); !S)
-      return S.error();
-    if (Result<void> O = Env.observeOutputs(Outputs); !O)
-      return O.error();
-    ++Cycles;
-    if (!Outputs.Retire)
-      continue;
+    if (*Stop == CoreStop::NoRetireProgress)
+      return Error("no retire in " + std::to_string(Options.WedgeCycles) +
+                   " cycles before instruction " +
+                   std::to_string(Instructions));
 
-    // One implementation retire corresponds to one ISA Next step.
     isa::StepResult S = isa::step(Isa, IsaEnv);
     if (!S.ok())
       return Error("ISA faulted at instruction " +
@@ -258,8 +227,8 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
   }
 
   // Memories must agree at the end (ag32_eq_* includes memory equality).
-  if (Env.memory() != Isa.Memory) {
-    const auto &M = Env.memory();
+  const isa::GuestMemory &M = Runner.memory();
+  if (M != Isa.Memory) {
     for (size_t I = 0; I != M.size(); ++I)
       if (M[I] != Isa.Memory[I])
         return Error("memory differs at " + toHex(static_cast<Word>(I)) +
@@ -267,9 +236,10 @@ Result<uint64_t> silver::cpu::checkIsaRtl(const isa::MachineState &Initial,
                      " instructions");
   }
   if (SysEnv) {
-    if (Env.collectedStdout() != SysEnv->collectedStdout())
+    CoreRunResult R = Runner.result();
+    if (R.StdoutData != SysEnv->collectedStdout())
       return Error("collected stdout differs between levels");
-    if (Env.collectedStderr() != SysEnv->collectedStderr())
+    if (R.StderrData != SysEnv->collectedStderr())
       return Error("collected stderr differs between levels");
   }
   return Instructions;

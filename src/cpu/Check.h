@@ -15,11 +15,13 @@
 ///    full architectural state (the ag32_eq_* relation family) at every
 ///    retire pulse, and the memories at the end.
 ///
-///  - runCore / CoreRunner: executes a memory image on the core and
-///    reports the observable behaviour (the hardware half of theorem
-///    (8)).  CoreRunner is the resumable form used by stack::Executor:
-///    it holds the simulator, the lab environment, and the observer
-///    hookup across multiple advance() calls.
+///  - CoreRunner: executes a memory image on the core and reports the
+///    observable behaviour (the hardware half of theorem (8)).  It is
+///    resumable (stack::Executor pauses, steps and budgets through it)
+///    and holds one session's simulator state, lab environment and
+///    counters; the design itself is shared (cpu::coreDesign()).  Its
+///    advance() is the one cycle loop: checkIsaRtl drives it retire by
+///    retire.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,12 +34,6 @@
 
 namespace silver {
 namespace cpu {
-
-/// Which implementation level to run: the circuit, or the generated
-/// Verilog stepped by the AST interpreter or by the compiled backend
-/// (hdl/compile; falls back to the interpreter transparently, see
-/// cpu::VerilogSimOptions).
-enum class SimLevel : uint8_t { Circuit, Verilog, VerilogCompiled };
 
 struct RunOptions {
   SimLevel Level = SimLevel::Circuit;
@@ -74,7 +70,7 @@ enum class CoreStop : uint8_t {
 /// A resumable core execution: create once from a bootable image, then
 /// advance() any number of times with per-call instruction/cycle quotas.
 /// This is what lets stack::Executor pause, step, and enforce budgets at
-/// the hardware levels; runCore below is the one-shot wrapper.
+/// the hardware levels.
 ///
 /// Event streams (when RunOptions::Obs is set): onCycle ticks come from
 /// the simulator itself, onRetire carries the retire_pc and the decoded
@@ -84,17 +80,12 @@ enum class CoreStop : uint8_t {
 /// first retire outside the syscall-code region).
 class CoreRunner {
 public:
-  /// Builds the core, validates it, and wires up the simulator, the lab
-  /// environment, and the observer.  The image's memory becomes the lab
-  /// DRAM (moved in, not copied, when \p Image is an rvalue).  The runner
-  /// is heap-allocated and pinned because the simulator keeps a reference
-  /// to the core.
-  static Result<std::unique_ptr<CoreRunner>>
-  create(sys::MemoryImage Image, const RunOptions &Options);
-  ~CoreRunner();
-
-  CoreRunner(const CoreRunner &) = delete;
-  CoreRunner &operator=(const CoreRunner &) = delete;
+  /// Instantiates a simulator of the shared design at Options.Level and
+  /// wires it to the lab environment and the observer.  The image's
+  /// memory becomes the lab DRAM (moved in, not copied, when \p Image is
+  /// an rvalue).
+  static Result<CoreRunner> create(sys::MemoryImage Image,
+                                   const RunOptions &Options);
 
   /// Runs until the halt self-loop retires, \p MaxInstructions more
   /// instructions retire, \p MaxCycles more cycles elapse, or the wedge
@@ -102,6 +93,12 @@ public:
   /// UINT64_MAX for "no limit".  Errors are environment protocol
   /// violations or simulator failures.
   Result<CoreStop> advance(uint64_t MaxInstructions, uint64_t MaxCycles);
+
+  /// Overwrites the core's architectural state with \p Ms's (checkIsaRtl
+  /// starts from arbitrary machine states).  Call before advance().
+  void primeArchState(const isa::MachineState &Ms) {
+    Sim->primeArchState(Ms);
+  }
 
   bool halted() const { return Halted; }
   uint64_t cycles() const { return Cycles; }
@@ -119,9 +116,9 @@ public:
   CoreRunResult result() const;
 
 private:
-  CoreRunner(sys::MemoryImage Image, const RunOptions &Options);
+  CoreRunner(std::unique_ptr<CoreSim> Sim, sys::MemoryImage Image,
+             const RunOptions &Options);
 
-  SilverCore Core;
   std::unique_ptr<CoreSim> Sim;
   LabEnv Env;
   sys::MemoryLayout Layout;
@@ -136,18 +133,14 @@ private:
   CoreOutputs Outputs;
 };
 
-/// Runs a bootable image on the Silver core until the halt self-loop is
-/// first executed, the cycle budget runs out, or the environment reports
-/// a protocol violation.
-Result<CoreRunResult> runCore(sys::MemoryImage Image,
-                              const RunOptions &Options);
-
 /// Lock-step ISA/implementation check from an arbitrary initial machine
 /// state.  \p Layout enables the interrupt-observables comparison (pass
 /// the image layout for compiled programs; nullptr for random-program
 /// tests that avoid Interrupt).  Stops at the ISA halt, after
 /// \p MaxInstructions, or at the first disagreement (returned as an
 /// error naming the instruction index and the differing component).
+/// Options.MaxCycles bounds the whole check, and running out of it, or a
+/// wedged core (Options.WedgeCycles), is an error too.
 Result<uint64_t> checkIsaRtl(const isa::MachineState &Initial,
                              uint64_t MaxInstructions,
                              const RunOptions &Options,

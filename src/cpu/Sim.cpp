@@ -20,120 +20,42 @@ namespace {
 // Port-name to dense-frame-field bindings.  Resolved once per simulator
 // at construction; the per-cycle loops never touch port names.
 
-enum class InPort : uint8_t {
-  MemRdata,
-  MemReady,
-  MemStartReady,
-  InterruptAck,
-  DataIn,
-  Unknown,
-};
+using InField = uint64_t CoreInputs::*;
+using OutField = uint64_t CoreOutputs::*;
 
-InPort inPortFor(const std::string &Name) {
-  if (Name == "mem_rdata")
-    return InPort::MemRdata;
-  if (Name == "mem_ready")
-    return InPort::MemReady;
-  if (Name == "mem_start_ready")
-    return InPort::MemStartReady;
-  if (Name == "interrupt_ack")
-    return InPort::InterruptAck;
-  if (Name == "data_in")
-    return InPort::DataIn;
-  return InPort::Unknown;
+/// The frame field of input port \p Name, or null when there is none.
+InField inField(const std::string &Name) {
+  static const std::pair<const char *, InField> Fields[] = {
+      {"mem_rdata", &CoreInputs::MemRdata},
+      {"mem_ready", &CoreInputs::MemReady},
+      {"mem_start_ready", &CoreInputs::MemStartReady},
+      {"interrupt_ack", &CoreInputs::InterruptAck},
+      {"data_in", &CoreInputs::DataIn},
+  };
+  for (const auto &[N, F] : Fields)
+    if (Name == N)
+      return F;
+  return nullptr;
 }
 
-uint64_t inValue(const CoreInputs &In, InPort P) {
-  switch (P) {
-  case InPort::MemRdata:
-    return In.MemRdata;
-  case InPort::MemReady:
-    return In.MemReady ? 1 : 0;
-  case InPort::MemStartReady:
-    return In.MemStartReady ? 1 : 0;
-  case InPort::InterruptAck:
-    return In.InterruptAck ? 1 : 0;
-  case InPort::DataIn:
-    return In.DataIn;
-  case InPort::Unknown:
-    break;
-  }
-  return 0;
-}
-
-enum class OutPort : uint8_t {
-  MemAddr,
-  MemWdata,
-  MemRen,
-  MemWen,
-  MemWbyte,
-  InterruptReq,
-  Retire,
-  RetirePc,
-  DbgState,
-  DataOut,
-  Unknown,
-};
-
-OutPort outPortFor(const std::string &Name) {
-  if (Name == "mem_addr")
-    return OutPort::MemAddr;
-  if (Name == "mem_wdata")
-    return OutPort::MemWdata;
-  if (Name == "mem_ren")
-    return OutPort::MemRen;
-  if (Name == "mem_wen")
-    return OutPort::MemWen;
-  if (Name == "mem_wbyte")
-    return OutPort::MemWbyte;
-  if (Name == "interrupt_req")
-    return OutPort::InterruptReq;
-  if (Name == "retire")
-    return OutPort::Retire;
-  if (Name == "retire_pc")
-    return OutPort::RetirePc;
-  if (Name == "dbg_state")
-    return OutPort::DbgState;
-  if (Name == "data_out")
-    return OutPort::DataOut;
-  return OutPort::Unknown;
-}
-
-void setOut(CoreOutputs &Out, OutPort P, uint64_t V) {
-  switch (P) {
-  case OutPort::MemAddr:
-    Out.MemAddr = V;
-    break;
-  case OutPort::MemWdata:
-    Out.MemWdata = V;
-    break;
-  case OutPort::MemRen:
-    Out.MemRen = V != 0;
-    break;
-  case OutPort::MemWen:
-    Out.MemWen = V != 0;
-    break;
-  case OutPort::MemWbyte:
-    Out.MemWbyte = V != 0;
-    break;
-  case OutPort::InterruptReq:
-    Out.InterruptReq = V != 0;
-    break;
-  case OutPort::Retire:
-    Out.Retire = V != 0;
-    break;
-  case OutPort::RetirePc:
-    Out.RetirePc = V;
-    break;
-  case OutPort::DbgState:
-    Out.DbgState = V;
-    break;
-  case OutPort::DataOut:
-    Out.DataOut = V;
-    break;
-  case OutPort::Unknown:
-    break;
-  }
+/// The frame field of output port \p Name, or null when there is none.
+OutField outField(const std::string &Name) {
+  static const std::pair<const char *, OutField> Fields[] = {
+      {"mem_addr", &CoreOutputs::MemAddr},
+      {"mem_wdata", &CoreOutputs::MemWdata},
+      {"mem_ren", &CoreOutputs::MemRen},
+      {"mem_wen", &CoreOutputs::MemWen},
+      {"mem_wbyte", &CoreOutputs::MemWbyte},
+      {"interrupt_req", &CoreOutputs::InterruptReq},
+      {"retire", &CoreOutputs::Retire},
+      {"retire_pc", &CoreOutputs::RetirePc},
+      {"dbg_state", &CoreOutputs::DbgState},
+      {"data_out", &CoreOutputs::DataOut},
+  };
+  for (const auto &[N, F] : Fields)
+    if (Name == N)
+      return F;
+  return nullptr;
 }
 
 class CircuitSim : public CoreSim {
@@ -143,9 +65,10 @@ public:
         State(rtl::CircuitState::init(Core.Circuit)) {
     const rtl::Circuit &C = Core.Circuit;
     for (const rtl::InputDef &In : C.Inputs)
-      InBind.push_back(inPortFor(In.Name));
-    for (const rtl::OutputDef &O : C.Outputs)
-      OutBind.push_back(outPortFor(O.Name));
+      InBind.push_back(inField(In.Name));
+    for (size_t K = 0; K != C.Outputs.size(); ++K)
+      if (OutField F = outField(C.Outputs[K].Name))
+        OutBind.emplace_back(K, F);
     InBuf.resize(C.Inputs.size());
     OutBuf.resize(C.Outputs.size());
   }
@@ -153,15 +76,15 @@ public:
   Result<void> stepDense(const CoreInputs &In, CoreOutputs &Out) override {
     const rtl::Circuit &C = Core.Circuit;
     for (size_t K = 0; K != InBind.size(); ++K) {
-      if (InBind[K] == InPort::Unknown)
+      if (!InBind[K])
         return Error("circuit input '" + C.Inputs[K].Name +
                      "' has no dense-frame binding");
-      InBuf[K] = inValue(In, InBind[K]);
+      InBuf[K] = In.*InBind[K];
     }
     if (Result<void> R = Runner.step(State, InBuf.data(), OutBuf.data()); !R)
       return R;
-    for (size_t K = 0; K != OutBind.size(); ++K)
-      setOut(Out, OutBind[K], OutBuf[K]);
+    for (const auto &[K, F] : OutBind)
+      Out.*F = OutBuf[K];
     tickObserver();
     return {};
   }
@@ -204,8 +127,8 @@ private:
   const SilverCore &Core;
   rtl::CircuitRunner Runner;
   rtl::CircuitState State;
-  std::vector<InPort> InBind;   // per InputDef ordinal
-  std::vector<OutPort> OutBind; // per OutputDef ordinal
+  std::vector<InField> InBind; // per InputDef ordinal
+  std::vector<std::pair<size_t, OutField>> OutBind; // by OutputDef ordinal
   std::vector<uint64_t> InBuf;
   std::vector<uint64_t> OutBuf;
   obs::Observer *Obs = nullptr;
@@ -214,13 +137,14 @@ private:
 
 class VerilogSim : public CoreSim {
 public:
-  VerilogSim(const SilverCore &Core, hdl::VModule ModuleIn,
-             std::unique_ptr<hdl::ModuleSim> SimIn)
-      : Core(Core), Module(std::move(ModuleIn)), Sim(std::move(SimIn)) {
+  VerilogSim(const SilverCore &Core, std::unique_ptr<hdl::ModuleSim> SimIn)
+      : Core(Core), Sim(std::move(SimIn)) {
     for (size_t K = 0; K != Sim->numInputs(); ++K)
-      InBind.push_back(inPortFor(Sim->inputName(K)));
+      InBind.push_back(inField(Sim->inputName(K)));
     for (const rtl::OutputDef &O : Core.Circuit.Outputs)
-      OutSlots.emplace_back(Sim->slotOf(O.Name), outPortFor(O.Name));
+      if (int Slot = Sim->slotOf(O.Name); Slot >= 0)
+        if (OutField F = outField(O.Name))
+          OutSlots.emplace_back(Slot, F);
     InBuf.resize(Sim->numInputs());
     PcSlot = regSlot(Core.PcReg);
     CarrySlot = regSlot(Core.CarryReg);
@@ -232,16 +156,15 @@ public:
 
   Result<void> stepDense(const CoreInputs &In, CoreOutputs &Out) override {
     for (size_t K = 0; K != InBind.size(); ++K) {
-      if (InBind[K] == InPort::Unknown)
+      if (!InBind[K])
         return Error("module input '" + Sim->inputName(K) +
                      "' has no dense-frame binding");
-      InBuf[K] = inValue(In, InBind[K]);
+      InBuf[K] = In.*InBind[K];
     }
     if (Result<void> R = Sim->stepDense(InBuf.data(), InBuf.size()); !R)
       return R;
-    for (const auto &[Slot, Port] : OutSlots)
-      if (Slot >= 0)
-        setOut(Out, Port, Sim->valueOf(Slot));
+    for (const auto &[Slot, F] : OutSlots)
+      Out.*F = Sim->valueOf(Slot);
     return {};
   }
 
@@ -281,10 +204,9 @@ private:
   }
 
   const SilverCore &Core;
-  hdl::VModule Module;
   std::unique_ptr<hdl::ModuleSim> Sim;
-  std::vector<InPort> InBind; // per FastSim input ordinal
-  std::vector<std::pair<int, OutPort>> OutSlots;
+  std::vector<InField> InBind; // per module input ordinal
+  std::vector<std::pair<int, OutField>> OutSlots;
   std::vector<uint64_t> InBuf;
   int PcSlot = -1;
   int CarrySlot = -1;
@@ -295,47 +217,73 @@ private:
 
 } // namespace
 
-std::unique_ptr<CoreSim> silver::cpu::makeCircuitSim(const SilverCore &Core) {
-  return std::make_unique<CircuitSim>(Core);
+const Result<SilverCore> &CoreDesign::core() const {
+  return Core.get([]() -> Result<SilverCore> {
+    SilverCore C = buildSilverCore();
+    if (Result<void> V = C.Circuit.validate(); !V)
+      return V.error();
+    return C;
+  });
 }
 
-Result<std::unique_ptr<CoreSim>>
-silver::cpu::makeVerilogSim(const SilverCore &Core,
-                            const VerilogSimOptions &Opts) {
-  Result<hdl::VModule> Module = rtl::toVerilog(Core.Circuit);
-  if (!Module)
-    return Module.error();
-  if (Result<void> T = hdl::typeCheck(*Module); !T)
-    return Error("generated Silver module fails type checking: " +
-                 T.error().str());
-  hdl::VModule Mod = Module.take();
+const Result<hdl::VModule> &CoreDesign::module() const {
+  return Module.get([this]() -> Result<hdl::VModule> {
+    if (!core())
+      return core().error();
+    Result<hdl::VModule> M = rtl::toVerilog(core()->Circuit);
+    if (!M)
+      return M;
+    if (Result<void> T = hdl::typeCheck(*M); !T)
+      return Error("generated Silver module fails type checking: " +
+                   T.error().str());
+    return M;
+  });
+}
 
-  // Backend selection: the compiled backend degrades to the interpreter
-  // (with a diagnostic, never an error) so a host without a compiler
-  // still runs every Verilog-level workload.
+const Result<std::shared_ptr<const hdl::FastProgram>> &
+CoreDesign::fastProgram() const {
+  return Fast.get(
+      [this]() -> Result<std::shared_ptr<const hdl::FastProgram>> {
+        if (!module())
+          return module().error();
+        return hdl::FastProgram::elaborate(*module());
+      });
+}
+
+const std::shared_ptr<const hdl::CompiledModule> &
+CoreDesign::compiled() const {
+  return Compiled.get([this]() -> std::shared_ptr<const hdl::CompiledModule> {
+    if (!module() || !hdl::compiledSimAvailable())
+      return nullptr;
+    Result<std::shared_ptr<hdl::CompiledModule>> C =
+        hdl::CompiledModule::create(*module());
+    return C ? C.take() : nullptr;
+  });
+}
+
+Result<std::unique_ptr<CoreSim>> CoreDesign::instantiate(SimLevel L) const {
+  if (!core())
+    return core().error();
+  std::unique_ptr<CoreSim> Sim;
+  if (L == SimLevel::Circuit) {
+    Sim = std::make_unique<CircuitSim>(*core());
+    return Sim;
+  }
+  // The compiled backend degrades to the interpreter, never to an error,
+  // so a host without a compiler still runs every Verilog-level workload.
   std::unique_ptr<hdl::ModuleSim> ModSim;
-  if (Opts.Compiled) {
-    if (!hdl::compiledSimAvailable()) {
-      if (Opts.FallbackDiag != nullptr)
-        *Opts.FallbackDiag = "compiled simulator unavailable (no usable "
-                             "host C++ compiler); using the interpreter";
-    } else {
-      Result<std::unique_ptr<hdl::CompiledSim>> C =
-          hdl::CompiledSim::compile(Mod);
-      if (C)
-        ModSim = C.take();
-      else if (Opts.FallbackDiag != nullptr)
-        *Opts.FallbackDiag = "compiled simulator failed (" +
-                             C.error().str() + "); using the interpreter";
-    }
+  if (L == SimLevel::VerilogCompiled && compiled()) {
+    ModSim = std::make_unique<hdl::CompiledSim>(compiled());
+  } else {
+    if (!fastProgram())
+      return fastProgram().error();
+    ModSim = std::make_unique<hdl::FastSim>(*fastProgram());
   }
-  if (!ModSim) {
-    Result<std::unique_ptr<hdl::FastSim>> Fast = hdl::FastSim::compile(Mod);
-    if (!Fast)
-      return Fast.error();
-    ModSim = Fast.take();
-  }
-  std::unique_ptr<CoreSim> Sim =
-      std::make_unique<VerilogSim>(Core, std::move(Mod), std::move(ModSim));
+  Sim = std::make_unique<VerilogSim>(*core(), std::move(ModSim));
   return Sim;
+}
+
+const CoreDesign &silver::cpu::coreDesign() {
+  static const CoreDesign Design;
+  return Design;
 }

@@ -8,9 +8,14 @@
 /// \file
 /// A common cycle-stepping interface over the two implementation levels
 /// of Figure 1: the circuit IR interpreter (layer 3) and the Verilog
-/// semantics running the generated module (layer 4).  The runners and
-/// the ISA correspondence checker are written against this interface, so
-/// every experiment can execute at either level.
+/// semantics running the generated module (layer 4).  The cycle loop
+/// (CoreRunner) is written against this interface, so every experiment
+/// can execute at either level.
+///
+/// The design behind the simulators is one artefact, as in the paper:
+/// one circuit and the one module generated from it.  CoreDesign builds
+/// it once per process and shares it; a simulator instance holds only
+/// its own cycle state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +29,15 @@
 #include "rtl/ToVerilog.h"
 
 #include <memory>
+#include <mutex>
+#include <optional>
 
 namespace silver {
+namespace hdl {
+class CompiledModule;
+class FastProgram;
+} // namespace hdl
+
 namespace cpu {
 
 /// Architectural snapshot used by the ISA correspondence checker.
@@ -38,15 +50,15 @@ struct ArchState {
 };
 
 /// Dense input frame for one core cycle: one field per input port of the
-/// Silver core.  The cycle loops (CoreRunner, checkIsaRtl) exchange
-/// these instead of string-keyed maps, so the per-cycle path does no
-/// name lookups and no allocation.
+/// Silver core (single-bit ports hold 0 or 1).  The cycle loop
+/// (CoreRunner) exchanges these instead of string-keyed maps, so the
+/// per-cycle path does no name lookups and no allocation.
 struct CoreInputs {
   uint64_t MemRdata = 0;
   uint64_t DataIn = 0;
-  bool MemReady = false;
-  bool MemStartReady = false;
-  bool InterruptAck = false;
+  uint64_t MemReady = 0;
+  uint64_t MemStartReady = 0;
+  uint64_t InterruptAck = 0;
 };
 
 /// Dense output frame: one field per output port of the Silver core.
@@ -56,11 +68,11 @@ struct CoreOutputs {
   uint64_t RetirePc = 0;
   uint64_t DataOut = 0;
   uint64_t DbgState = 0;
-  bool MemRen = false;
-  bool MemWen = false;
-  bool MemWbyte = false;
-  bool InterruptReq = false;
-  bool Retire = false;
+  uint64_t MemRen = 0;
+  uint64_t MemWen = 0;
+  uint64_t MemWbyte = 0;
+  uint64_t InterruptReq = 0;
+  uint64_t Retire = 0;
 };
 
 class CoreSim {
@@ -77,39 +89,69 @@ public:
   virtual Word archPc() const = 0;
 
   /// Ticks obs::Observer::onCycle once per step (the circuit level emits
-  /// directly; the Verilog level forwards to hdl::FastSim).  Null
+  /// directly; the Verilog level forwards to its hdl::ModuleSim).  Null
   /// detaches; not owned.
   virtual void attachCycleObserver(obs::Observer *O) = 0;
 
   /// Reads the current architectural state.
   virtual ArchState archState() const = 0;
 
-  /// Primes the architectural state (used by the randomised ISA/RTL
-  /// equivalence tests to start from arbitrary register contents).
+  /// Primes the architectural state (used by checkIsaRtl to start from
+  /// an arbitrary machine state).
   virtual void primeArchState(const isa::MachineState &Ms) = 0;
 };
 
-/// Layer-3 simulator: the circuit interpreter.
-std::unique_ptr<CoreSim> makeCircuitSim(const SilverCore &Core);
+/// Which implementation level to run: the circuit, or the generated
+/// Verilog stepped by the AST interpreter or by the compiled backend
+/// (hdl/compile; falls back to the interpreter when the host cannot
+/// build it).
+enum class SimLevel : uint8_t { Circuit, Verilog, VerilogCompiled };
 
-/// Backend selection for the Verilog-level simulator.
-struct VerilogSimOptions {
-  /// Step the generated module with the ahead-of-time compiled backend
-  /// (hdl/compile) instead of the AST interpreter.  Falls back to the
-  /// interpreter — transparently, with a note in *FallbackDiag — when
-  /// no usable host compiler exists or the build fails.
-  bool Compiled = false;
-  /// Receives a one-line diagnostic when the compiled backend was
-  /// requested but the run fell back to the interpreter.  Not owned;
-  /// may be null.
-  std::string *FallbackDiag = nullptr;
+/// The Silver core design: the validated circuit, the Verilog module
+/// generated from it, that module elaborated for the FastSim
+/// interpreter, and the module compiled and loaded for the compiled
+/// backend.  Each part is built on first use and never changes after,
+/// so every session on every thread shares the one design of the
+/// process (coreDesign()): an rtl-only process never generates Verilog,
+/// and only the first verilog-compiled session calls the host compiler.
+class CoreDesign {
+public:
+  /// The circuit (layer 3), validated.
+  const Result<SilverCore> &core() const;
+  /// The Verilog module generated from core() (layer 4), type-checked.
+  const Result<hdl::VModule> &module() const;
+  /// module() elaborated for the FastSim interpreter.
+  const Result<std::shared_ptr<const hdl::FastProgram>> &fastProgram() const;
+  /// module() built (or its cached artifact reused; SILVER_HDL_CACHE is
+  /// read then) and loaded; null when the host cannot build it.
+  const std::shared_ptr<const hdl::CompiledModule> &compiled() const;
+
+  /// A fresh simulator at \p L over the shared parts.  VerilogCompiled
+  /// steps compiled(), or the interpreter when that is null.
+  Result<std::unique_ptr<CoreSim>> instantiate(SimLevel L) const;
+
+private:
+  /// A value built by the first get() and shared by all later ones.
+  template <typename T> class Lazy {
+  public:
+    template <typename F> const T &get(F Build) const {
+      std::call_once(Once, [&] { Value.emplace(Build()); });
+      return *Value;
+    }
+
+  private:
+    mutable std::once_flag Once;
+    mutable std::optional<T> Value;
+  };
+
+  Lazy<Result<SilverCore>> Core;
+  Lazy<Result<hdl::VModule>> Module;
+  Lazy<Result<std::shared_ptr<const hdl::FastProgram>>> Fast;
+  Lazy<std::shared_ptr<const hdl::CompiledModule>> Compiled;
 };
 
-/// Layer-4 simulator: verilog_sem on the generated module, stepped by
-/// the backend \p Opts selects.  Fails if the generated module does not
-/// type-check.
-Result<std::unique_ptr<CoreSim>> makeVerilogSim(const SilverCore &Core,
-                                                const VerilogSimOptions &Opts);
+/// The design of this process.
+const CoreDesign &coreDesign();
 
 } // namespace cpu
 } // namespace silver

@@ -32,6 +32,7 @@ FuzzReport silver::fuzz::runFuzz(const FuzzOptions &O) {
   std::array<std::atomic<uint64_t>, stack::NumEngines> EngineInstrs{};
   std::array<std::atomic<uint64_t>, stack::NumEngines> EngineCycles{};
   std::array<std::atomic<uint64_t>, stack::NumEngines> EngineRuns{};
+  std::array<std::atomic<uint64_t>, stack::NumEngines> EngineNanos{};
   std::mutex Mu; // guards Report.Findings and O.Log
   const auto Start = std::chrono::steady_clock::now();
   const auto Deadline =
@@ -69,6 +70,8 @@ FuzzReport silver::fuzz::runFuzz(const FuzzOptions &O) {
                                   std::memory_order_relaxed);
         EngineCycles[E].fetch_add(Run.Behaviour.Cycles,
                                   std::memory_order_relaxed);
+        EngineNanos[E].fetch_add(static_cast<uint64_t>(Run.Seconds * 1e9),
+                                 std::memory_order_relaxed);
       }
       if (R->Diff.Kind == DiffKind::Inconclusive) {
         Inconclusive.fetch_add(1, std::memory_order_relaxed);
@@ -124,6 +127,7 @@ FuzzReport silver::fuzz::runFuzz(const FuzzOptions &O) {
     W.E = static_cast<stack::Engine>(E);
     W.Instructions = EngineInstrs[E].load();
     W.Cycles = EngineCycles[E].load();
+    W.Seconds = static_cast<double>(EngineNanos[E].load()) / 1e9;
     Report.Work.push_back(W);
   }
   // Workers race on push order; the index sort restores determinism.

@@ -72,6 +72,9 @@ struct LevelWork {
   stack::Engine E = stack::Engine::Isa;
   uint64_t Instructions = 0;
   uint64_t Cycles = 0;
+  /// Wall time of the engine's runs, summed over the workers (so up to
+  /// WallSeconds x Jobs): the denominator of its throughput.
+  double Seconds = 0;
 };
 
 struct FuzzReport {
@@ -80,7 +83,7 @@ struct FuzzReport {
   uint64_t CaseErrors = 0;   ///< cases the oracle could not run at all
   std::vector<Finding> Findings; ///< sorted by case index
   /// Campaign wall-clock time (generation + oracle + shrinking), for
-  /// cases/sec and per-level instrs/sec throughput lines.
+  /// the cases/sec throughput line.
   double WallSeconds = 0;
   /// Per-engine totals across every case the oracle ran, in Engine
   /// order; engines that never ran are omitted.

@@ -13,6 +13,7 @@
 #include "sys/Syscalls.h"
 
 #include <algorithm>
+#include <chrono>
 
 using namespace silver;
 using namespace silver::fuzz;
@@ -82,8 +83,8 @@ Result<stack::Prepared> silver::fuzz::prepareCase(const CaseSpec &C) {
 
 namespace {
 
-LevelRun runOne(const stack::Prepared &P, const CaseSpec &C, Engine E,
-                uint64_t MaxSteps) {
+LevelRun execute(const stack::Prepared &P, const CaseSpec &C, Engine E,
+                 uint64_t MaxSteps) {
   const stack::EngineRow &Row = stack::engineRow(E);
   LevelRun R;
   R.E = E;
@@ -126,6 +127,17 @@ LevelRun runOne(const stack::Prepared &P, const CaseSpec &C, Engine E,
   }
   R.Behaviour = Out->Behaviour;
   R.Retires = Sink.retireStream();
+  return R;
+}
+
+/// execute(), timed into LevelRun::Seconds.
+LevelRun runOne(const stack::Prepared &P, const CaseSpec &C, Engine E,
+                uint64_t MaxSteps) {
+  const auto Start = std::chrono::steady_clock::now();
+  LevelRun R = execute(P, C, E, MaxSteps);
+  R.Seconds = std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - Start)
+                  .count();
   return R;
 }
 

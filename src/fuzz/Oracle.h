@@ -59,6 +59,7 @@ struct LevelRun {
   stack::Observed Behaviour;
   stack::StateDigest Digest;
   std::vector<std::pair<Word, uint8_t>> Retires; ///< (pc, opcode)
+  double Seconds = 0; ///< wall time of the run, begin through finish
 };
 
 /// How two levels disagreed.

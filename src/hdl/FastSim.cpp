@@ -57,20 +57,14 @@ struct NbEntry {
 
 } // namespace
 
-struct FastSim::Impl {
-  const VModule *Module = nullptr;
+struct FastProgram::Impl {
   std::map<std::string, int> ScalarSlots; // bool/vec variables
   std::map<std::string, int> MemSlots;
   std::vector<unsigned> SlotWidths;       // 0 = bool
-  std::vector<uint64_t> Values;
-  std::vector<std::vector<uint64_t>> Mems;
   std::vector<unsigned> MemWidths;
+  std::vector<uint64_t> MemDepths;
   std::vector<std::pair<std::string, int>> InputSlots;
-  std::vector<std::vector<FStmt>> Processes;
-
-  // Observability: cycle ticks for the unified trace/counter subsystem.
-  obs::Observer *CycleObs = nullptr;
-  uint64_t Cycle = 0;
+  std::vector<FStmt> Processes; // one body per process
 
   /// With a single process there are no later processes to shield from
   /// blocking writes, so they commit in place and the undo/commit logs
@@ -78,18 +72,39 @@ struct FastSim::Impl {
   /// two log appends per assignment from the Verilog-level hot path).
   bool DirectBlocking = false;
 
+  Result<FExp> compileExp(const VExp &E) const;
+  Result<FStmt> compileStmt(const VStmt &S) const;
+};
+
+struct FastSim::Impl {
+  explicit Impl(std::shared_ptr<const FastProgram> Prog)
+      : Program(std::move(Prog)), P(*Program->I),
+        Values(P.SlotWidths.size(), 0),
+        DirectBlocking(P.DirectBlocking) {
+    for (uint64_t Depth : P.MemDepths)
+      Mems.emplace_back(Depth, 0);
+  }
+
+  std::shared_ptr<const FastProgram> Program;
+  const FastProgram::Impl &P;
+  std::vector<uint64_t> Values;
+  std::vector<std::vector<uint64_t>> Mems;
+  bool DirectBlocking;
+
+  // Observability: cycle ticks for the unified trace/counter subsystem.
+  obs::Observer *CycleObs = nullptr;
+  uint64_t Cycle = 0;
+
   // Per-cycle scratch.
   std::vector<NbEntry> Queue;
   std::vector<std::pair<int, uint64_t>> UndoLog;
   std::vector<std::pair<int, uint64_t>> CommitLog;
 
-  Result<FExp> compileExp(const VExp &E);
-  Result<FStmt> compileStmt(const VStmt &S);
   uint64_t eval(const FExp &E);
   void exec(const FStmt &S);
 };
 
-Result<FExp> FastSim::Impl::compileExp(const VExp &E) {
+Result<FExp> FastProgram::Impl::compileExp(const VExp &E) const {
   FExp F;
   F.Kind = E.Kind;
   F.BOp = E.BOp;
@@ -179,7 +194,7 @@ Result<FExp> FastSim::Impl::compileExp(const VExp &E) {
   return F;
 }
 
-Result<FStmt> FastSim::Impl::compileStmt(const VStmt &S) {
+Result<FStmt> FastProgram::Impl::compileStmt(const VStmt &S) const {
   FStmt F;
   F.Kind = S.Kind;
   switch (S.Kind) {
@@ -346,27 +361,25 @@ void FastSim::Impl::exec(const FStmt &S) {
 
 ModuleSim::~ModuleSim() = default;
 
-FastSim::FastSim() : I(std::make_unique<Impl>()) {}
-FastSim::~FastSim() = default;
+FastProgram::FastProgram() : I(std::make_unique<Impl>()) {}
+FastProgram::~FastProgram() = default;
 
-Result<std::unique_ptr<FastSim>> FastSim::compile(const VModule &M) {
+Result<std::shared_ptr<const FastProgram>>
+FastProgram::elaborate(const VModule &M) {
   if (Result<void> T = typeCheck(M); !T)
     return T.error();
 
-  std::unique_ptr<FastSim> Sim(new FastSim());
-  Impl &I = *Sim->I;
-  I.Module = &M;
-
+  std::shared_ptr<FastProgram> Prog(new FastProgram());
+  Impl &I = *Prog->I;
   auto Declare = [&I](const std::string &Name, const VType &T) {
     if (T.K == VType::Kind::Mem) {
-      int Id = static_cast<int>(I.Mems.size());
-      I.Mems.emplace_back(T.Depth, 0);
+      int Id = static_cast<int>(I.MemDepths.size());
+      I.MemDepths.push_back(T.Depth);
       I.MemWidths.push_back(T.Width);
       I.MemSlots[Name] = Id;
       return;
     }
-    int Slot = static_cast<int>(I.Values.size());
-    I.Values.push_back(0);
+    int Slot = static_cast<int>(I.SlotWidths.size());
     I.SlotWidths.push_back(T.K == VType::Kind::Bool ? 0 : T.Width);
     I.ScalarSlots[Name] = Slot;
   };
@@ -382,29 +395,57 @@ Result<std::unique_ptr<FastSim>> FastSim::compile(const VModule &M) {
     Result<FStmt> Body = I.compileStmt(*P.Body);
     if (!Body)
       return Body.error();
-    I.Processes.push_back({Body.take()});
+    I.Processes.push_back(Body.take());
   }
   I.DirectBlocking = I.Processes.size() <= 1;
-  return Sim;
+  return std::shared_ptr<const FastProgram>(std::move(Prog));
+}
+
+size_t FastProgram::numInputs() const { return I->InputSlots.size(); }
+
+const std::string &FastProgram::inputName(size_t Ordinal) const {
+  assert(Ordinal < I->InputSlots.size() && "input ordinal out of range");
+  return I->InputSlots[Ordinal].first;
+}
+
+int FastProgram::slotOf(const std::string &Name) const {
+  auto It = I->ScalarSlots.find(Name);
+  return It == I->ScalarSlots.end() ? -1 : It->second;
+}
+
+int FastProgram::memSlotOf(const std::string &Name) const {
+  auto It = I->MemSlots.find(Name);
+  return It == I->MemSlots.end() ? -1 : It->second;
+}
+
+FastSim::FastSim(std::shared_ptr<const FastProgram> P)
+    : I(std::make_unique<Impl>(std::move(P))) {}
+FastSim::~FastSim() = default;
+
+Result<std::unique_ptr<FastSim>> FastSim::compile(const VModule &M) {
+  Result<std::shared_ptr<const FastProgram>> P = FastProgram::elaborate(M);
+  if (!P)
+    return P.error();
+  return std::make_unique<FastSim>(P.take());
 }
 
 Result<void> FastSim::stepDense(const uint64_t *Inputs, size_t Count) {
   Impl &Im = *I;
-  if (Count != Im.InputSlots.size())
+  const FastProgram::Impl &P = Im.P;
+  if (Count != P.InputSlots.size())
     return Error("fastsim: dense input frame has " + std::to_string(Count) +
                  " values, module has " +
-                 std::to_string(Im.InputSlots.size()) + " input ports");
+                 std::to_string(P.InputSlots.size()) + " input ports");
   for (size_t K = 0; K != Count; ++K) {
-    int Slot = Im.InputSlots[K].second;
-    unsigned W = Im.SlotWidths[Slot];
+    int Slot = P.InputSlots[K].second;
+    unsigned W = P.SlotWidths[Slot];
     Im.Values[Slot] = maskTo(W == 0 ? 1 : W, Inputs[K]);
   }
   Im.Queue.clear();
   Im.CommitLog.clear();
-  for (const auto &Proc : Im.Processes) {
+  for (const FStmt &Body : P.Processes) {
     Im.UndoLog.clear();
-    for (const FStmt &S : Proc)
-      Im.exec(S);
+    Im.exec(Body);
     // Later processes must see the cycle-start state: undo the blocking
     // writes (they are re-applied from the commit log afterwards).
     for (auto It = Im.UndoLog.rbegin(); It != Im.UndoLog.rend(); ++It)
@@ -431,21 +472,18 @@ Result<void> FastSim::stepDense(const uint64_t *Inputs, size_t Count) {
 
 void FastSim::setCycleObserver(obs::Observer *O) { I->CycleObs = O; }
 
-size_t FastSim::numInputs() const { return I->InputSlots.size(); }
+size_t FastSim::numInputs() const { return I->Program->numInputs(); }
 
 const std::string &FastSim::inputName(size_t Ordinal) const {
-  assert(Ordinal < I->InputSlots.size() && "input ordinal out of range");
-  return I->InputSlots[Ordinal].first;
+  return I->Program->inputName(Ordinal);
 }
 
 int FastSim::slotOf(const std::string &Name) const {
-  auto It = I->ScalarSlots.find(Name);
-  return It == I->ScalarSlots.end() ? -1 : It->second;
+  return I->Program->slotOf(Name);
 }
 
 int FastSim::memSlotOf(const std::string &Name) const {
-  auto It = I->MemSlots.find(Name);
-  return It == I->MemSlots.end() ? -1 : It->second;
+  return I->Program->memSlotOf(Name);
 }
 
 uint64_t FastSim::valueOf(int Slot) const {
@@ -455,7 +493,7 @@ uint64_t FastSim::valueOf(int Slot) const {
 
 void FastSim::setValue(int Slot, uint64_t Bits) {
   assert(Slot >= 0 && static_cast<size_t>(Slot) < I->Values.size());
-  unsigned W = I->SlotWidths[Slot];
+  unsigned W = I->P.SlotWidths[Slot];
   I->Values[Slot] = maskTo(W == 0 ? 1 : W, Bits);
 }
 
@@ -469,45 +507,21 @@ std::vector<uint64_t> &FastSim::memOf(int MemSlot) {
   return I->Mems[MemSlot];
 }
 
-uint64_t FastSim::valueOf(const std::string &Name) const {
-  auto It = I->ScalarSlots.find(Name);
-  assert(It != I->ScalarSlots.end() && "unknown variable");
-  return I->Values[It->second];
-}
-
-void FastSim::setValue(const std::string &Name, uint64_t Bits) {
-  auto It = I->ScalarSlots.find(Name);
-  assert(It != I->ScalarSlots.end() && "unknown variable");
-  unsigned W = I->SlotWidths[It->second];
-  I->Values[It->second] = maskTo(W == 0 ? 1 : W, Bits);
-}
-
-const std::vector<uint64_t> &FastSim::memOf(const std::string &Name) const {
-  auto It = I->MemSlots.find(Name);
-  assert(It != I->MemSlots.end() && "unknown memory");
-  return I->Mems[It->second];
-}
-
-std::vector<uint64_t> &FastSim::memOf(const std::string &Name) {
-  auto It = I->MemSlots.find(Name);
-  assert(It != I->MemSlots.end() && "unknown memory");
-  return I->Mems[It->second];
-}
-
 SimState FastSim::exportState(const VModule &M) const {
   SimState S = SimState::init(M);
   for (auto &[Name, Value] : S.Vars) {
     if (Value.K == VValue::Kind::Mem) {
-      Value.Elems = memOf(Name);
+      if (int Slot = memSlotOf(Name); Slot >= 0)
+        Value.Elems = I->Mems[Slot];
       continue;
     }
-    auto It = I->ScalarSlots.find(Name);
-    if (It == I->ScalarSlots.end())
+    int Slot = slotOf(Name);
+    if (Slot < 0)
       continue;
     if (Value.K == VValue::Kind::Bool)
-      Value.B = I->Values[It->second] != 0;
+      Value.B = I->Values[Slot] != 0;
     else
-      Value.Bits = maskTo(Value.Width, I->Values[It->second]);
+      Value.Bits = maskTo(Value.Width, I->Values[Slot]);
   }
   return S;
 }

@@ -7,11 +7,12 @@
 ///
 /// \file
 /// A compiled simulator for the Verilog subset: elaborates a type-checked
-/// module once (variables become slot indices, expressions become
-/// annotated trees) and then steps cycles without any name lookups —
-/// the Verilator to Semantics.h's event-driven reference.  Tests check it
-/// cycle-for-cycle against hdl::stepCycle; everything fast (the Verilog
-/// execution level of the stack, the layer benchmarks) runs on it.
+/// module once (FastProgram: variables become slot indices, expressions
+/// become annotated trees) and then steps cycles without any name
+/// lookups (FastSim, one per instance) — the Verilator to Semantics.h's
+/// event-driven reference.  Tests check it cycle-for-cycle against
+/// hdl::stepCycle; everything fast (the Verilog execution level of the
+/// stack, the layer benchmarks) runs on it.
 ///
 /// Semantics preserved from the reference: per cycle, every process reads
 /// the cycle-start state plus its own blocking writes (implemented with
@@ -32,11 +33,42 @@
 namespace silver {
 namespace hdl {
 
+/// A module elaborated once: variables become slot indices and the
+/// process bodies become annotated trees.  Immutable after
+/// elaboration, so one program backs any number of FastSim instances on
+/// any number of threads (the counterpart of CompiledModule).
+class FastProgram {
+public:
+  /// Elaborates \p M; fails when typeCheck fails.  The program keeps no
+  /// reference to \p M.
+  static Result<std::shared_ptr<const FastProgram>>
+  elaborate(const VModule &M);
+  ~FastProgram();
+
+  /// Number of input ports (the stepDense frame size).
+  size_t numInputs() const;
+  /// Name of input port \p Ordinal (stepDense frame order).
+  const std::string &inputName(size_t Ordinal) const;
+  /// Slot handle of a scalar (bool/vec) variable, or -1 when unknown.
+  int slotOf(const std::string &Name) const;
+  /// Memory handle of a memory variable, or -1 when unknown.
+  int memSlotOf(const std::string &Name) const;
+
+  struct Impl;
+
+private:
+  friend class FastSim;
+  FastProgram();
+  std::unique_ptr<Impl> I;
+};
+
+/// One simulator instance: the per-cycle state over a shared program.
 class FastSim final : public ModuleSim {
 public:
-  /// Elaborates \p M; fails when typeCheck fails.  The module must stay
-  /// alive for the lifetime of the simulator.
+  /// Convenience: FastProgram::elaborate + instantiate.
   static Result<std::unique_ptr<FastSim>> compile(const VModule &M);
+  /// One instance over an already-elaborated program.
+  explicit FastSim(std::shared_ptr<const FastProgram> P);
   ~FastSim() override;
 
   /// One clock cycle; \p Inputs holds one value per input port in port
@@ -44,18 +76,10 @@ public:
   /// path: no name lookups, no per-cycle allocation.
   Result<void> stepDense(const uint64_t *Inputs, size_t Count) override;
 
-  /// Number of input ports (the stepDense frame size).
   size_t numInputs() const override;
-  /// Name of input port \p Ordinal (stepDense frame order).
   const std::string &inputName(size_t Ordinal) const override;
-
-  /// Slot handle of a scalar (bool/vec) variable, or -1 when unknown.
-  /// Slots are stable for the lifetime of the simulator; resolve once,
-  /// then use the indexed accessors below on hot paths.
   int slotOf(const std::string &Name) const override;
-  /// Memory handle of a memory variable, or -1 when unknown.
   int memSlotOf(const std::string &Name) const override;
-  /// Indexed accessors (hot-path counterparts of the named ones).
   uint64_t valueOf(int Slot) const override;
   void setValue(int Slot, uint64_t Bits) override;
   const std::vector<uint64_t> &memOf(int MemSlot) const override;
@@ -66,23 +90,11 @@ public:
   /// detaches; not owned.
   void setCycleObserver(obs::Observer *O) override;
 
-  /// Current value of a scalar (bool/vec) variable's bits.
-  uint64_t valueOf(const std::string &Name) const override;
-  /// Current contents of a memory variable.
-  const std::vector<uint64_t> &memOf(const std::string &Name) const override;
-  /// Writes a scalar variable (for priming architectural state).
-  void setValue(const std::string &Name, uint64_t Bits) override;
-  /// Mutable memory access (for priming).
-  std::vector<uint64_t> &memOf(const std::string &Name) override;
-
-  /// Exports the state in reference-simulator form (for the agreement
-  /// tests against hdl::stepCycle).
   SimState exportState(const VModule &M) const override;
 
   struct Impl;
 
 private:
-  FastSim();
   std::unique_ptr<Impl> I;
 };
 

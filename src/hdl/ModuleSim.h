@@ -52,7 +52,8 @@ public:
   virtual int slotOf(const std::string &Name) const = 0;
   /// Memory handle of a memory variable, or -1 when unknown.
   virtual int memSlotOf(const std::string &Name) const = 0;
-  /// Indexed accessors (hot-path counterparts of the named ones).
+  /// Slot-indexed state access: read and write a scalar (writes are
+  /// masked to the variable's width), read and write a memory.
   virtual uint64_t valueOf(int Slot) const = 0;
   virtual void setValue(int Slot, uint64_t Bits) = 0;
   virtual const std::vector<uint64_t> &memOf(int MemSlot) const = 0;
@@ -61,15 +62,6 @@ public:
   /// Ticks obs::Observer::onCycle once per step.  Null detaches; not
   /// owned.
   virtual void setCycleObserver(obs::Observer *O) = 0;
-
-  /// Current value of a scalar (bool/vec) variable's bits.
-  virtual uint64_t valueOf(const std::string &Name) const = 0;
-  /// Current contents of a memory variable.
-  virtual const std::vector<uint64_t> &memOf(const std::string &Name) const = 0;
-  /// Writes a scalar variable (for priming architectural state).
-  virtual void setValue(const std::string &Name, uint64_t Bits) = 0;
-  /// Mutable memory access (for priming).
-  virtual std::vector<uint64_t> &memOf(const std::string &Name) = 0;
 
   /// Exports the state in reference-simulator form (for the agreement
   /// tests against hdl::stepCycle).

@@ -44,7 +44,7 @@ CompiledSim::compile(const VModule &M, const BuildOptions &O) {
   return std::make_unique<CompiledSim>(Mod.take());
 }
 
-CompiledSim::CompiledSim(std::shared_ptr<CompiledModule> M)
+CompiledSim::CompiledSim(std::shared_ptr<const CompiledModule> M)
     : Module(std::move(M)) {
   const CompiledLayout &L = Module->Layout;
   Values.assign(L.SlotWidths.size(), 0);
@@ -122,36 +122,13 @@ std::vector<uint64_t> &CompiledSim::memOf(int MemSlot) {
 
 void CompiledSim::setCycleObserver(obs::Observer *O) { CycleObs = O; }
 
-uint64_t CompiledSim::valueOf(const std::string &Name) const {
-  int Slot = slotOf(Name);
-  assert(Slot >= 0 && "unknown variable");
-  return Values[Slot];
-}
-
-void CompiledSim::setValue(const std::string &Name, uint64_t Bits) {
-  int Slot = slotOf(Name);
-  assert(Slot >= 0 && "unknown variable");
-  setValue(Slot, Bits);
-}
-
-const std::vector<uint64_t> &CompiledSim::memOf(const std::string &Name) const {
-  int Slot = memSlotOf(Name);
-  assert(Slot >= 0 && "unknown memory");
-  return Mems[Slot];
-}
-
-std::vector<uint64_t> &CompiledSim::memOf(const std::string &Name) {
-  int Slot = memSlotOf(Name);
-  assert(Slot >= 0 && "unknown memory");
-  return Mems[Slot];
-}
-
 SimState CompiledSim::exportState(const VModule &M) const {
   SimState S = SimState::init(M);
   const CompiledLayout &L = Module->Layout;
   for (auto &[Name, Value] : S.Vars) {
     if (Value.K == VValue::Kind::Mem) {
-      Value.Elems = memOf(Name);
+      if (int Slot = memSlotOf(Name); Slot >= 0)
+        Value.Elems = Mems[Slot];
       continue;
     }
     auto It = L.ScalarSlots.find(Name);
@@ -169,16 +146,8 @@ SimState CompiledSim::exportState(const VModule &M) const {
 // CompiledBatch (struct-of-arrays lanes)
 //===----------------------------------------------------------------------===//
 
-Result<std::unique_ptr<CompiledBatch>>
-CompiledBatch::compile(const VModule &M, size_t Lanes,
-                       const BuildOptions &O) {
-  Result<std::shared_ptr<CompiledModule>> Mod = CompiledModule::create(M, O);
-  if (!Mod)
-    return Mod.error();
-  return std::make_unique<CompiledBatch>(Mod.take(), Lanes);
-}
-
-CompiledBatch::CompiledBatch(std::shared_ptr<CompiledModule> M, size_t Lanes)
+CompiledBatch::CompiledBatch(std::shared_ptr<const CompiledModule> M,
+                             size_t Lanes)
     : Module(std::move(M)), NumLanes(Lanes == 0 ? 1 : Lanes) {
   const CompiledLayout &L = Module->Layout;
   Values.assign(L.SlotWidths.size() * NumLanes, 0);

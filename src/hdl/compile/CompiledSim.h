@@ -66,7 +66,7 @@ public:
   static Result<std::unique_ptr<CompiledSim>>
   compile(const VModule &M, const BuildOptions &O = {});
   /// One instance over an already-loaded module.
-  explicit CompiledSim(std::shared_ptr<CompiledModule> M);
+  explicit CompiledSim(std::shared_ptr<const CompiledModule> M);
   ~CompiledSim() override;
 
   Result<void> stepDense(const uint64_t *Inputs, size_t Count) override;
@@ -79,16 +79,12 @@ public:
   const std::vector<uint64_t> &memOf(int MemSlot) const override;
   std::vector<uint64_t> &memOf(int MemSlot) override;
   void setCycleObserver(obs::Observer *O) override;
-  uint64_t valueOf(const std::string &Name) const override;
-  const std::vector<uint64_t> &memOf(const std::string &Name) const override;
-  void setValue(const std::string &Name, uint64_t Bits) override;
-  std::vector<uint64_t> &memOf(const std::string &Name) override;
   SimState exportState(const VModule &M) const override;
 
   uint64_t designHash() const { return Module->designHash(); }
 
 private:
-  std::shared_ptr<CompiledModule> Module;
+  std::shared_ptr<const CompiledModule> Module;
   std::vector<uint64_t> Values;
   std::vector<std::vector<uint64_t>> Mems;
   std::vector<uint64_t *> MemPtrs;
@@ -101,9 +97,7 @@ private:
 /// Inputs[port * lanes() + lane].
 class CompiledBatch {
 public:
-  static Result<std::unique_ptr<CompiledBatch>>
-  compile(const VModule &M, size_t Lanes, const BuildOptions &O = {});
-  CompiledBatch(std::shared_ptr<CompiledModule> M, size_t Lanes);
+  CompiledBatch(std::shared_ptr<const CompiledModule> M, size_t Lanes);
 
   size_t lanes() const { return NumLanes; }
   size_t numInputs() const;
@@ -120,7 +114,7 @@ public:
   void setMemAt(size_t Lane, int MemSlot, size_t Index, uint64_t Bits);
 
 private:
-  std::shared_ptr<CompiledModule> Module;
+  std::shared_ptr<const CompiledModule> Module;
   size_t NumLanes;
   std::vector<uint64_t> Values; ///< slot-major SoA: [slot*NumLanes+lane]
   std::vector<std::vector<uint64_t>> Mems; ///< [mem][elem*NumLanes+lane]

@@ -187,21 +187,21 @@ struct MachineSession final : Executor::SessionBase {
 /// through the resumable cpu::CoreRunner.  Subject to the cycle budget
 /// and the wedge watchdog on top of the instruction budget.
 struct RtlSession final : Executor::SessionBase {
-  std::unique_ptr<cpu::CoreRunner> Runner;
+  cpu::CoreRunner Runner;
   uint64_t CycleBudgetLeft;
   bool TimedOut = false;
 
-  RtlSession(std::unique_ptr<cpu::CoreRunner> R, uint64_t CycleBudget)
+  RtlSession(cpu::CoreRunner R, uint64_t CycleBudget)
       : Runner(std::move(R)), CycleBudgetLeft(CycleBudget) {}
 
   Result<RunStatus> step(uint64_t MaxInstructions) override {
-    if (Runner->halted())
+    if (Runner.halted())
       return RunStatus::Completed;
     if (TimedOut)
       return RunStatus::Timeout;
-    uint64_t CyclesBefore = Runner->cycles();
-    Result<cpu::CoreStop> S = Runner->advance(MaxInstructions, CycleBudgetLeft);
-    uint64_t Used = Runner->cycles() - CyclesBefore;
+    uint64_t CyclesBefore = Runner.cycles();
+    Result<cpu::CoreStop> S = Runner.advance(MaxInstructions, CycleBudgetLeft);
+    uint64_t Used = Runner.cycles() - CyclesBefore;
     CycleBudgetLeft -= std::min(Used, CycleBudgetLeft);
     if (!S)
       return S.error();
@@ -218,7 +218,7 @@ struct RtlSession final : Executor::SessionBase {
     return RunStatus::Paused;
   }
 
-  uint64_t instructions() const override { return Runner->instructions(); }
+  uint64_t instructions() const override { return Runner.instructions(); }
 
   void addCycles(uint64_t ExtraCycles) override {
     CycleBudgetLeft = ExtraCycles > UINT64_MAX - CycleBudgetLeft
@@ -228,7 +228,7 @@ struct RtlSession final : Executor::SessionBase {
   }
 
   Observed collect() const override {
-    cpu::CoreRunResult R = Runner->result();
+    cpu::CoreRunResult R = Runner.result();
     Observed O;
     O.Terminated = R.Halted;
     O.Cycles = R.Cycles;
@@ -240,13 +240,13 @@ struct RtlSession final : Executor::SessionBase {
   }
 
   StateDigest digest() const override {
-    cpu::ArchState A = Runner->archState();
+    cpu::ArchState A = Runner.archState();
     StateDigest D;
     D.Pc = A.Pc;
     D.Carry = A.Carry;
     D.Overflow = A.Overflow;
     D.Regs = A.Regs;
-    const isa::GuestMemory &M = Runner->memory();
+    const isa::GuestMemory &M = Runner.memory();
     D.MemoryHash = fnv1a64(M.data(), M.size());
     D.MemoryBytes = M.size();
     return D;
@@ -356,7 +356,7 @@ Result<void> Executor::begin(Level L) {
                         : cpu::SimLevel::Verilog;
     Options.MaxCycles = Cycles;
     Options.Obs = Obs;
-    Result<std::unique_ptr<cpu::CoreRunner>> Runner =
+    Result<cpu::CoreRunner> Runner =
         cpu::CoreRunner::create(Image.take(), Options);
     if (!Runner)
       return Fail(Runner.error());

@@ -3,9 +3,13 @@
 #include "cpu/Check.h"
 
 #include "asm/Assembler.h"
+#include "hdl/Printer.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace silver;
 using namespace silver::cpu;
@@ -110,8 +114,10 @@ TEST(Core, BuildsAndValidates) {
 
 TEST(Core, WaitsForMemStartInterface) {
   // Before mem_start_ready the core must stay in Init and issue nothing.
-  SilverCore Core = buildSilverCore();
-  auto Sim = makeCircuitSim(Core);
+  Result<std::unique_ptr<CoreSim>> SimOr =
+      coreDesign().instantiate(SimLevel::Circuit);
+  ASSERT_TRUE(SimOr) << SimOr.error().str();
+  CoreSim *Sim = SimOr->get();
   CoreInputs In;
   CoreOutputs Out;
   for (int I = 0; I != 10; ++I) {
@@ -125,6 +131,28 @@ TEST(Core, WaitsForMemStartInterface) {
   ASSERT_TRUE(Sim->stepDense(In, Out));
   EXPECT_TRUE(Out.MemRen); // fetch request for address 0
   EXPECT_EQ(Out.MemAddr, 0u);
+}
+
+TEST(CoreDesign, ModulePrintsAsTheCommittedSilverCpuSv) {
+  // silver_cpu.sv at the repository root is the inspectable artefact
+  // (export_verilog writes it); it must be the shared design's module
+  // byte for byte.
+  const Result<hdl::VModule> &M = coreDesign().module();
+  ASSERT_TRUE(M) << M.error().str();
+  std::ifstream In(SILVER_CPU_SV, std::ios::binary);
+  ASSERT_TRUE(In) << "cannot open " << SILVER_CPU_SV;
+  std::ostringstream Committed;
+  Committed << In.rdbuf();
+  EXPECT_TRUE(hdl::printModule(*M) == Committed.str())
+      << "silver_cpu.sv is stale: regenerate it with export_verilog";
+}
+
+TEST(CoreDesign, PartsAreBuiltOnceAndShared) {
+  const CoreDesign &D = coreDesign();
+  EXPECT_EQ(&D, &coreDesign());
+  EXPECT_EQ(&D.module(), &coreDesign().module());
+  ASSERT_TRUE(D.fastProgram());
+  EXPECT_EQ(D.fastProgram()->get(), coreDesign().fastProgram()->get());
 }
 
 class IsaRtlRandom
@@ -202,6 +230,33 @@ TEST(IsaRtl, JumpAndLinkSequences) {
   RunOptions Options;
   Result<uint64_t> N = checkIsaRtl(Init, 50, Options, nullptr);
   EXPECT_TRUE(N) << N.error().str();
+}
+
+TEST(IsaRtl, CycleBudgetExhaustionIsAnError) {
+  // The check's cycle budget covers the whole run: a few cycles run out
+  // during the first instruction, whose fetch alone takes more.  The
+  // wedge watchdog fires the same way when it is set that tight.
+  std::vector<Instruction> P = {
+      Instruction::normal(Func::Add, 2, Operand::imm(1), Operand::imm(2)),
+      Instruction::halt(),
+  };
+  isa::MachineState Init = makeState(P);
+  for (SimLevel L : {SimLevel::Circuit, SimLevel::Verilog}) {
+    RunOptions Options;
+    Options.Level = L;
+    Options.MaxCycles = 3;
+    Result<uint64_t> N = checkIsaRtl(Init, 100, Options, nullptr);
+    ASSERT_FALSE(N);
+    EXPECT_EQ(N.error().message(),
+              "cycle budget exhausted before instruction 0");
+
+    Options.MaxCycles = 1'000;
+    Options.WedgeCycles = 3;
+    N = checkIsaRtl(Init, 100, Options, nullptr);
+    ASSERT_FALSE(N);
+    EXPECT_EQ(N.error().message(),
+              "no retire in 3 cycles before instruction 0");
+  }
 }
 
 TEST(LabEnvModel, MemoryLatencyIsHonoured) {

@@ -215,6 +215,25 @@ TEST(Fuzzer, DeterministicAcrossJobCounts) {
   }
 }
 
+TEST(Fuzzer, EngineSecondsFitTheCampaign) {
+  // Each engine's rate is its work over its own run time, summed over
+  // the workers: positive for every engine that ran, and never more
+  // than the campaign's wall time on every worker at once.
+  FuzzOptions O;
+  O.Seed = 31;
+  O.MaxCases = 24;
+  O.Jobs = 2;
+  O.Shrink = false;
+  O.Oracle.Levels = {stack::Level::Machine, stack::Level::Rtl,
+                     stack::Level::Verilog};
+  FuzzReport R = runFuzz(O);
+  ASSERT_FALSE(R.Work.empty());
+  for (const LevelWork &W : R.Work) {
+    EXPECT_GT(W.Seconds, 0) << stack::engineName(W.E);
+    EXPECT_LE(W.Seconds, R.WallSeconds * O.Jobs) << stack::engineName(W.E);
+  }
+}
+
 TEST(Fuzzer, TimeBudgetStopsTheCampaign) {
   FuzzOptions O;
   O.Seed = 5;

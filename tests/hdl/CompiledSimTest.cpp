@@ -9,14 +9,12 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cpu/Core.h"
 #include "cpu/Sim.h"
 #include "hdl/FastSim.h"
 #include "hdl/Semantics.h"
 #include "hdl/compile/Build.h"
 #include "hdl/compile/Codegen.h"
 #include "hdl/compile/CompiledSim.h"
-#include "rtl/ToVerilog.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -187,7 +185,7 @@ TEST_F(CompiledSimTest, NbaMergeOrderIsProgramOrder) {
   Result<std::unique_ptr<CompiledSim>> SimOr = CompiledSim::compile(M);
   ASSERT_TRUE(SimOr) << SimOr.error().str();
   lockstep(M, **SimOr, {{}, {}});
-  EXPECT_EQ((*SimOr)->valueOf("r"), 2u);
+  EXPECT_EQ((*SimOr)->valueOf((*SimOr)->slotOf("r")), 2u);
 }
 
 TEST_F(CompiledSimTest, CrossProcessBlockingReadsCycleStartState) {
@@ -211,8 +209,9 @@ TEST_F(CompiledSimTest, CrossProcessBlockingReadsCycleStartState) {
            {{{"sel", 1}}, {{"sel", 0}}, {{"sel", 1}}, {{"sel", 0}}});
   // After cycle 1 (sel=0): t kept 9 from cycle 0; r latched the
   // cycle-start t of each cycle, never the in-cycle write.
-  EXPECT_EQ((*SimOr)->valueOf("t"), 9u);
-  EXPECT_EQ((*SimOr)->valueOf("r"), 9u);
+  CompiledSim &Sim = **SimOr;
+  EXPECT_EQ(Sim.valueOf(Sim.slotOf("t")), 9u);
+  EXPECT_EQ(Sim.valueOf(Sim.slotOf("r")), 9u);
 }
 
 TEST_F(CompiledSimTest, ExhaustiveLeafSweepMatchesReference) {
@@ -314,9 +313,11 @@ TEST_F(CompiledSimTest, SlotSurfaceMatchesFastSim) {
     ASSERT_TRUE((*C)->stepDense(Frame, 1));
     ASSERT_TRUE((*F)->stepDense(Frame, 1));
   }
-  EXPECT_EQ((*C)->valueOf("count"), (*F)->valueOf("count"));
-  EXPECT_EQ((*C)->valueOf("done"), (*F)->valueOf("done"));
-  EXPECT_EQ((*C)->valueOf("count"), 12u);
+  int Count = (*C)->slotOf("count");
+  int Done = (*C)->slotOf("done");
+  EXPECT_EQ((*C)->valueOf(Count), (*F)->valueOf(Count));
+  EXPECT_EQ((*C)->valueOf(Done), (*F)->valueOf(Done));
+  EXPECT_EQ((*C)->valueOf(Count), 12u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -350,9 +351,9 @@ TEST_F(CompiledSimTest, BatchLanesMatchSequentialSingles) {
   int Done = Batch.slotOf("done");
   ASSERT_GE(Count, 0);
   for (size_t L = 0; L != Lanes; ++L) {
-    EXPECT_EQ(Batch.valueOf(L, Count), Singles[L]->valueOf("count"))
+    EXPECT_EQ(Batch.valueOf(L, Count), Singles[L]->valueOf(Count))
         << "lane " << L;
-    EXPECT_EQ(Batch.valueOf(L, Done), Singles[L]->valueOf("done"))
+    EXPECT_EQ(Batch.valueOf(L, Done), Singles[L]->valueOf(Done))
         << "lane " << L;
   }
 }
@@ -361,8 +362,7 @@ TEST_F(CompiledSimTest, BatchLanesMatchOnSilverCore) {
   // The real design: the full Silver core module, four lanes of random
   // input stimulus, every scalar slot and the register-file memory
   // compared lane-for-lane against single instances after ~200 cycles.
-  cpu::SilverCore Core = cpu::buildSilverCore();
-  Result<VModule> ModAst = rtl::toVerilog(Core.Circuit);
+  const Result<VModule> &ModAst = cpu::coreDesign().module();
   ASSERT_TRUE(ModAst) << ModAst.error().str();
   constexpr size_t Lanes = 4;
   Result<std::shared_ptr<CompiledModule>> ModOr =
@@ -428,21 +428,16 @@ TEST(CompiledBuild, BadCompilerIsAnError) {
   EXPECT_FALSE(L);
 }
 
-TEST(CompiledFallback, VerilogSimDegradesWithDiagnostic) {
-  // cpu::makeVerilogSim with the compiled backend requested always
-  // yields a working simulator: the compiled one where possible, the
-  // interpreter (plus a diagnostic) where not.  Either way the Verilog
-  // level keeps running.
-  cpu::SilverCore Core = cpu::buildSilverCore();
-  ASSERT_TRUE(Core.Circuit.validate());
-  std::string Diag;
-  cpu::VerilogSimOptions V;
-  V.Compiled = true;
-  V.FallbackDiag = &Diag;
-  Result<std::unique_ptr<cpu::CoreSim>> S = cpu::makeVerilogSim(Core, V);
+TEST(CompiledFallback, VerilogCompiledDegradesToInterpreter) {
+  // The verilog-compiled level always yields a working simulator: the
+  // compiled one where the host can build the design, the interpreter
+  // where not.  Either way the Verilog level keeps running.
+  const cpu::CoreDesign &D = cpu::coreDesign();
+  EXPECT_EQ(D.compiled() != nullptr, compiledSimAvailable());
+  Result<std::unique_ptr<cpu::CoreSim>> S =
+      D.instantiate(cpu::SimLevel::VerilogCompiled);
   ASSERT_TRUE(S) << S.error().str();
-  if (!compiledSimAvailable())
-    EXPECT_NE(Diag.find("interpreter"), std::string::npos);
-  else
-    EXPECT_TRUE(Diag.empty()) << Diag;
+  cpu::CoreInputs In;
+  cpu::CoreOutputs Out;
+  EXPECT_TRUE((*S)->stepDense(In, Out));
 }

@@ -398,4 +398,66 @@ TEST(Service, ConcurrentMixedSubmissionsAllComplete) {
   }
 }
 
+TEST(Service, HardwareJobsShareTheCoreDesign) {
+  // Two workers run hello at the hardware levels at once, so their
+  // sessions build and then step the one process-wide core design
+  // (cpu::coreDesign()) concurrently.  Each job must match a sequential
+  // run of the same engine, digest included.  The sequential runs come
+  // last, so the workers are the design's first users.
+  std::vector<stack::Engine> Engines = {stack::Engine::Rtl,
+                                        stack::Engine::Verilog};
+  if (stack::engineSupported(stack::Engine::VerilogCompiled))
+    Engines.push_back(stack::Engine::VerilogCompiled);
+  constexpr int JobsPerEngine = 3;
+
+  Service Svc({.Workers = 2, .QueueDepth = 16});
+  std::vector<std::pair<stack::Engine, uint64_t>> Ids;
+  for (int I = 0; I != JobsPerEngine; ++I)
+    for (stack::Engine E : Engines) {
+      JobSpec S = helloJob();
+      S.Level = stack::engineRow(E).L;
+      S.Hdl = stack::engineRow(E).Hdl;
+      JobInfo Info = Svc.submit(S);
+      ASSERT_EQ(Info.State, JobState::Queued);
+      Ids.emplace_back(E, Info.Id);
+    }
+  std::vector<JobInfo> Done;
+  for (const auto &[E, Id] : Ids) {
+    std::optional<JobInfo> Info = Svc.waitSettled(Id, 120'000);
+    ASSERT_TRUE(Info.has_value());
+    ASSERT_EQ(Info->State, JobState::Completed) << Info->Outcome.Error;
+    Done.push_back(*Info);
+  }
+
+  for (stack::Engine E : Engines) {
+    stack::RunSpec Spec;
+    Spec.Source = stack::helloSource();
+    Spec.CommandLine = {"hello"};
+    Spec.Exec.Hdl = stack::engineRow(E).Hdl;
+    Result<stack::Executor> X = stack::Executor::create(Spec);
+    ASSERT_TRUE(X) << X.error().str();
+    ASSERT_TRUE(X->begin(stack::engineRow(E).L));
+    Result<stack::RunStatus> St = X->step(UINT64_MAX);
+    ASSERT_TRUE(St && *St == stack::RunStatus::Completed);
+    Result<stack::StateDigest> Digest = X->sessionState();
+    ASSERT_TRUE(Digest);
+    Result<stack::Outcome> Want = X->finish();
+    ASSERT_TRUE(Want);
+    for (size_t I = 0; I != Ids.size(); ++I) {
+      if (Ids[I].first != E)
+        continue;
+      const JobOutcome &Got = Done[I].Outcome;
+      SCOPED_TRACE(std::string(stack::engineName(E)) + " job " +
+                   std::to_string(I));
+      EXPECT_EQ(Got.Behaviour.StdoutData, Want->Behaviour.StdoutData);
+      EXPECT_EQ(Got.Behaviour.ExitCode, Want->Behaviour.ExitCode);
+      EXPECT_EQ(Got.Behaviour.Instructions, Want->Behaviour.Instructions);
+      EXPECT_EQ(Got.Behaviour.Cycles, Want->Behaviour.Cycles);
+      EXPECT_GT(Got.Behaviour.Cycles, 0u);
+      ASSERT_TRUE(Got.HasDigest);
+      EXPECT_TRUE(Got.Digest == *Digest);
+    }
+  }
+}
+
 } // namespace
